@@ -21,14 +21,14 @@ from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
 from .scoring import candidate_lines
 from .templates import (
-    Array,
+    ARRAY,
+    LEAF,
     Field,
+    Layout,
     Node,
-    Struct,
     canonical_string,
     compile_template,
-    field_count,
-    iter_arrays,
+    layout,
     render_record,
 )
 
@@ -48,6 +48,7 @@ class TableSchema:
 class TemplateSchema:
     type_index: int
     template: Node
+    layout: Layout
     tables: list[TableSchema]  # index 0 is the root table
     leaf_table: list[int]  # leaf index -> table position
     leaf_col: list[int]  # leaf index -> column position in its table
@@ -57,41 +58,32 @@ class TemplateSchema:
 
 
 def build_schema(type_index: int, template: Node) -> TemplateSchema:
-    n_leaves = field_count(template)
-    arrays = list(iter_arrays(template))
-    root = TableSchema(f"t{type_index}", ["_id"], None)
-    tables = [root]
-    array_table = [0] * len(arrays)
-    leaf_table = [0] * n_leaves
-    leaf_col = [0] * n_leaves
-    leaf_counter = [0]
-    arr_counter = [0]
-
-    def walk(node: Node, table_pos: int) -> None:
-        if isinstance(node, Field):
-            idx = leaf_counter[0]
-            leaf_counter[0] += 1
-            leaf_table[idx] = table_pos
-            leaf_col[idx] = len(tables[table_pos].columns)
-            tables[table_pos].columns.append(f"f{idx}")
-        elif isinstance(node, Struct):
-            for c in node.children:
-                walk(c, table_pos)
-        elif isinstance(node, Array):
-            aidx = arr_counter[0]
-            arr_counter[0] += 1
-            child = TableSchema(
-                f"t{type_index}_a{aidx}", ["_id", "_parent_id"],
-                tables[table_pos].name,
-            )
-            tables.append(child)
-            array_table[aidx] = len(tables) - 1
-            walk(node.body, len(tables) - 1)
-
-    walk(template, 0)
-    return TemplateSchema(type_index, template, tables, leaf_table, leaf_col,
-                          array_table, [f"f{i}" for i in range(n_leaves)],
-                          [f"a{i}" for i in range(len(arrays))])
+    """One root table, plus one child table per array in array order; each
+    leaf is a column of the table of its innermost array (or of the root)."""
+    lay = layout(template)
+    n_arrays = len(lay.arrays)
+    tables = [TableSchema(f"t{type_index}", ["_id"], None)] + [
+        TableSchema(f"t{type_index}_a{j}", ["_id", "_parent_id"], None)
+        for j in range(n_arrays)
+    ]
+    array_table = [j + 1 for j in range(n_arrays)]
+    leaf_table = [0] * lay.n_leaves
+    pending = [(lay, 0)]
+    while pending:
+        body, table_pos = pending.pop()
+        for kind, index, _, sub in body.slots:
+            if kind == LEAF:
+                leaf_table[index] = table_pos
+            elif kind == ARRAY:
+                tables[array_table[index]].parent = tables[table_pos].name
+                pending.append((sub, array_table[index]))
+    leaf_col = []
+    for i, table_pos in enumerate(leaf_table):
+        leaf_col.append(len(tables[table_pos].columns))
+        tables[table_pos].columns.append(f"f{i}")
+    return TemplateSchema(type_index, template, lay, tables, leaf_table, leaf_col,
+                          array_table, [f"f{i}" for i in range(lay.n_leaves)],
+                          [f"a{j}" for j in range(n_arrays)])
 
 
 @dataclass
@@ -138,67 +130,36 @@ def _new_row(table: Table, parent_id: int | None) -> tuple[int, list[str]]:
     return rid, row
 
 
-class _RecordEmitter:
-    """Walks a template over one record's (values, arities), filling rows
-    and the nested form.
-
-    A class rather than nested closures: a recursive closure refers to itself
-    through its cell, so every record would leave a garbage reference cycle
-    (about two dozen objects) that only the cyclic collector can free.
-    """
-
-    __slots__ = ("schema", "tables", "values", "arities", "leaf_pos", "arr_pos")
-
-    def __init__(self, schema: TemplateSchema, tables: list[Table],
-                 values: list[list[bytes]], arities: list[list[int]]) -> None:
-        self.schema = schema
-        self.tables = tables
-        self.values = values
-        self.arities = arities
-        self.leaf_pos = [0] * len(values)
-        self.arr_pos = [0] * len(arities)
-
-    def walk(self, node: Node, row: list[str], obj: dict,
-             leaf: int, arr: int) -> tuple[int, int]:
-        """Emit ``node`` whose first leaf/array indices are ``leaf``/``arr``;
-        returns the indices that follow it."""
-        schema = self.schema
-        if isinstance(node, Field):
-            v = self.values[leaf][self.leaf_pos[leaf]].decode("latin-1")
-            self.leaf_pos[leaf] += 1
-            row[schema.leaf_col[leaf]] = v
-            obj[schema.leaf_key[leaf]] = v
-            return leaf + 1, arr
-        if isinstance(node, Struct):
-            for c in node.children:
-                leaf, arr = self.walk(c, row, obj, leaf, arr)
-            return leaf, arr
-        if isinstance(node, Array):
-            reps = self.arities[arr][self.arr_pos[arr]]
-            self.arr_pos[arr] += 1
-            table = self.tables[schema.array_table[arr]]
-            parent_id = int(row[0])
-            items = []
-            single = isinstance(node.body, Field)
-            after = leaf, arr + 1
-            for _ in range(reps):
-                _, child_row = _new_row(table, parent_id)
-                child_obj: dict = {}
-                after = self.walk(node.body, child_row, child_obj, leaf, arr + 1)
-                items.append(next(iter(child_obj.values())) if single else child_obj)
-            obj[schema.array_key[arr]] = items
-            return after
-        return leaf, arr
-
-
 def emit_record(schema: TemplateSchema, tables: list[Table],
                 values: list[list[bytes]], arities: list[list[int]]) -> tuple[int, dict]:
     """Append one record's rows; returns (root row id, nested form)."""
     root_id, root_row = _new_row(tables[0], None)
     nested: dict = {"_type": schema.tables[0].name, "_row": root_id}
-    _RecordEmitter(schema, tables, values, arities).walk(
-        schema.template, root_row, nested, 0, 0)
+    _emit(schema.layout, schema, tables, [iter(v) for v in values],
+          [iter(a) for a in arities], root_row, nested)
     return root_id, nested
+
+
+def _emit(lay: Layout, schema: TemplateSchema, tables: list[Table],
+          values: list, arities: list, row: list[str], obj: dict) -> None:
+    """Fill ``row`` and ``obj`` from the next values of ``lay``'s leaves, and
+    add child rows for its arrays."""
+    for kind, index, node, body in lay.slots:
+        if kind == LEAF:
+            v = next(values[index]).decode("latin-1")
+            row[schema.leaf_col[index]] = v
+            obj[schema.leaf_key[index]] = v
+        elif kind == ARRAY:
+            table = tables[schema.array_table[index]]
+            parent_id = int(row[0])
+            single = isinstance(node.body, Field)
+            items = []
+            for _ in range(next(arities[index])):
+                _, child_row = _new_row(table, parent_id)
+                child_obj: dict = {}
+                _emit(body, schema, tables, values, arities, child_row, child_obj)
+                items.append(next(iter(child_obj.values())) if single else child_obj)
+            obj[schema.array_key[index]] = items
 
 
 @contextmanager
@@ -222,6 +183,17 @@ def _gc_paused():
             gc.enable()
 
 
+def new_tables(schemas: list[TemplateSchema]
+               ) -> tuple[list[list[Table]], dict[tuple[str, str], str]]:
+    """Empty tables of each record type, and the foreign keys
+    ``(child table, "_parent_id") -> parent table`` that link them."""
+    tables = [[Table(ts.name, list(ts.columns), []) for ts in sc.tables]
+              for sc in schemas]
+    fks = {(ts.name, "_parent_id"): ts.parent
+           for sc in schemas for ts in sc.tables if ts.parent is not None}
+    return tables, fks
+
+
 def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
     """Single pass over the full corpus; templates tried in discovery order."""
     if not plan.templates:
@@ -233,10 +205,7 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
     L = plan.max_span_lines
     compiled = [compile_template(t) for t in plan.template_nodes]
     schemas = [build_schema(i, c.template) for i, c in enumerate(compiled)]
-    tables_per_type = [
-        [Table(ts.name, list(ts.columns), []) for ts in sc.tables]
-        for sc in schemas
-    ]
+    tables_per_type, fks = new_tables(schemas)
     cand = [candidate_lines(tv, c) for c in compiled]
     denormalized: list[dict] = []
     noise: list[tuple[int, bytes]] = []
@@ -268,11 +237,6 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
             i = j
 
     tables = [t for group in tables_per_type for t in group]
-    fks: dict[tuple[str, str], str] = {}
-    for sc in schemas:
-        for ts in sc.tables:
-            if ts.parent is not None:
-                fks[(ts.name, "_parent_id")] = ts.parent
     return RelationalOutput(tables, fks, denormalized, noise, records,
                             schemas, source_len=len(buf))
 
@@ -287,36 +251,27 @@ def record_values(out: RelationalOutput, meta: RecordMeta,
     schema = out.schemas[meta.type_index]
     if children_index is None:
         children_index = build_children_index(out)
-    values: list[list[bytes]] = [[] for _ in range(len(schema.leaf_table))]
-    arities: list[list[int]] = [[] for _ in range(len(schema.array_table))]
-    leaf_counter = [0]
-    arr_counter = [0]
-
-    def walk(node: Node, tpos: int, row: list[str]) -> None:
-        if isinstance(node, Field):
-            idx = leaf_counter[0]
-            leaf_counter[0] += 1
-            values[idx].append(row[schema.leaf_col[idx]].encode("latin-1"))
-        elif isinstance(node, Struct):
-            for c in node.children:
-                walk(c, tpos, row)
-        elif isinstance(node, Array):
-            aidx = arr_counter[0]
-            arr_counter[0] += 1
-            child_pos = schema.array_table[aidx]
-            child_name = schema.tables[child_pos].name
-            rows = children_index.get((child_name, int(row[0])), [])
-            arities[aidx].append(len(rows))
-            leaf_mark = leaf_counter[0]
-            arr_mark = arr_counter[0]
-            for child_row in rows:
-                leaf_counter[0] = leaf_mark
-                arr_counter[0] = arr_mark
-                walk(node.body, child_pos, child_row)
-
+    values: list[list[bytes]] = [[] for _ in range(schema.layout.n_leaves)]
+    arities: list[list[int]] = [[] for _ in schema.layout.arrays]
     root = out.table(schema.tables[0].name).rows[meta.row_id]
-    walk(schema.template, 0, root)
+    _collect(schema.layout, schema, children_index, root, values, arities)
     return values, arities
+
+
+def _collect(lay: Layout, schema: TemplateSchema, children_index: dict,
+             row: list[str], values: list[list[bytes]],
+             arities: list[list[int]]) -> None:
+    """Append ``row``'s values of ``lay``'s leaves, then those of its arrays'
+    child rows."""
+    for kind, index, _, body in lay.slots:
+        if kind == LEAF:
+            values[index].append(row[schema.leaf_col[index]].encode("latin-1"))
+        elif kind == ARRAY:
+            child_name = schema.tables[schema.array_table[index]].name
+            rows = children_index.get((child_name, int(row[0])), [])
+            arities[index].append(len(rows))
+            for child_row in rows:
+                _collect(body, schema, children_index, child_row, values, arities)
 
 
 def build_children_index(out: RelationalOutput) -> dict:

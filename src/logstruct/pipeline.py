@@ -22,7 +22,7 @@ from .templates import (
     canonical_string,
     compile_template,
     field_count,
-    iter_arrays,
+    layout,
     parse_canonical,
 )
 
@@ -82,8 +82,8 @@ def _merged_arity_diagnostic(winner: ScoredTemplate) -> list[str]:
 
     from .refinement import _full_unfold, _replace_array
 
-    arrays = list(iter_arrays(winner.template))
-    for idx, _ in enumerate(arrays):
+    lay = layout(winner.template)
+    for idx in range(len(lay.arrays)):
         counts = winner.arity_counts[idx] if idx < len(winner.arity_counts) else []
         if not counts:
             continue
@@ -93,8 +93,7 @@ def _merged_arity_diagnostic(winner: ScoredTemplate) -> list[str]:
         if len(modes) >= 2:
             subsumed = []
             for k in modes:
-                node = _replace_array(winner.template, idx,
-                                      lambda a, k=k: _full_unfold(a, k), [0])
+                node = _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
                 subsumed.append(canonical_string(node).decode("latin-1"))
             return subsumed
     return []

@@ -17,14 +17,16 @@ import numpy as np
 from .corpus import TextView
 from .scoring import ScoredTemplate, candidate_lines, score
 from .templates import (
+    ARRAY,
     NEWLINE,
     Array,
     Field,
+    Layout,
     Node,
     Struct,
     canonical_string,
     compile_template,
-    iter_arrays,
+    layout,
     struct_of,
 )
 
@@ -34,18 +36,16 @@ TOP_ARITIES = 3
 Scorer = Callable[[Node], ScoredTemplate]
 
 
-def _replace_array(node: Node, target_idx: int, builder, counter: list[int]) -> Node:
-    """Rebuild the tree with the target array (pre-order index) rewritten."""
-    if isinstance(node, Array):
-        idx = counter[0]
-        counter[0] += 1
-        body = _replace_array(node.body, target_idx, builder, counter)
-        if idx == target_idx:
-            return builder(Array(body, node.sep, node.term))
-        return Array(body, node.sep, node.term)
-    if isinstance(node, Struct):
-        return struct_of([_replace_array(c, target_idx, builder, counter) for c in node.children])
-    return node
+def _replace_array(lay: Layout, target_idx: int, builder) -> Node:
+    """Rebuild the template of ``lay`` with array ``target_idx`` rewritten."""
+    parts: list[Node] = []
+    for kind, index, node, body in lay.slots:
+        if kind == ARRAY:
+            node = Array(_replace_array(body, target_idx, builder), node.sep, node.term)
+            if index == target_idx:
+                node = builder(node)
+        parts.append(node)
+    return struct_of(parts)
 
 
 def _full_unfold(a: Array, k: int) -> Node:
@@ -68,8 +68,8 @@ def _partial_unfold(a: Array, j: int) -> Node:
 def unfold_proposals(st: Node, arity_counts: list[list[int]]) -> list[Node]:
     """Candidate rewrites for every array node, deterministic order."""
     proposals: list[Node] = []
-    arrays = list(iter_arrays(st))
-    for idx, node in enumerate(arrays):
+    lay = layout(st)
+    for idx in range(len(lay.arrays)):
         counts = arity_counts[idx] if idx < len(arity_counts) else []
         if not counts:
             continue
@@ -79,13 +79,13 @@ def unfold_proposals(st: Node, arity_counts: list[list[int]]) -> list[Node]:
         ks = sorted(k for k, c in top if c / total >= FULL_UNFOLD_MIN_SHARE)
         for k in ks:
             proposals.append(
-                _replace_array(st, idx, lambda a, k=k: _full_unfold(a, k), [0])
+                _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
             )
         min_arity = min(counts)
         for j in sorted({1, min_arity - 1}):
             if 1 <= j <= min_arity - 1:
                 proposals.append(
-                    _replace_array(st, idx, lambda a, j=j: _partial_unfold(a, j), [0])
+                    _replace_array(lay, idx, lambda a, j=j: _partial_unfold(a, j))
                 )
     out = []
     seen = set()
@@ -101,7 +101,11 @@ def unfold_arrays(st: Node, view: TextView, max_span_lines: int = 10,
                   scorer: Scorer | None = None) -> Node:
     """Accept improving unfoldings until none improves the score."""
     scorer = scorer or (lambda t: score(view, t, max_span_lines))
-    current = scorer(st)
+    return _unfold(scorer(st), scorer).template
+
+
+def _unfold(current: ScoredTemplate, scorer: Scorer) -> ScoredTemplate:
+    """Take the best strictly improving unfolding until there is none."""
     while True:
         proposals = unfold_proposals(current.template, current.arity_counts)
         best = None
@@ -111,7 +115,7 @@ def unfold_arrays(st: Node, view: TextView, max_span_lines: int = 10,
                 if best is None or (s.total_dl, s.canonical) < (best.total_dl, best.canonical):
                     best = s
         if best is None:
-            return current.template
+            return current
         current = best
 
 
@@ -136,7 +140,7 @@ def _line_groups(st: Node) -> list[list[Node]] | None:
                 groups[-1].append(e[start:])
         elif isinstance(e, Array):
             if any(NEWLINE in (a.sep, a.term) or _has_newline(a.body)
-                   for a in iter_arrays(e)):
+                   for a in layout(e).arrays):
                 if e.term == NEWLINE and not _has_newline(e.body) and e.sep != NEWLINE:
                     groups[-1].append(e)
                     groups.append([])
@@ -206,18 +210,7 @@ def refine(scored: ScoredTemplate, view: TextView, max_span_lines: int = 10,
            scorer: Scorer | None = None) -> ScoredTemplate:
     """Unfold to a fixed point, then shift once."""
     scorer = scorer or (lambda t: score(view, t, max_span_lines))
-    current = scored
-    while True:
-        proposals = unfold_proposals(current.template, current.arity_counts)
-        best = None
-        for p in proposals:
-            s = scorer(p)
-            if s.total_dl < current.total_dl:
-                if best is None or (s.total_dl, s.canonical) < (best.total_dl, best.canonical):
-                    best = s
-        if best is None:
-            break
-        current = best
+    current = _unfold(scored, scorer)
     shifted = shift_structure(current.template, view, max_span_lines)
     if canonical_string(shifted) != current.canonical:
         current = scorer(shifted)

@@ -19,19 +19,18 @@ from .extraction import (
     Table,
     build_schema,
     emit_record,
+    new_tables,
 )
 from .templates import (
-    Array,
-    Field,
+    ARRAY,
+    LEAF,
+    Layout,
     Node,
-    Struct,
     canonical_string,
     compile_template,
-    field_count,
-    iter_arrays,
+    layout,
     parse_canonical,
     render_record,
-    template_charset,
 )
 
 _STR_ALPHABET = string.ascii_letters + string.digits
@@ -110,12 +109,11 @@ class SynthSpec:
                 raise SynthError("weights must be positive")
             if not canonical_string(tspec.template).endswith(b"\n"):
                 raise SynthError("templates must end with a newline")
-            charset = template_charset(tspec.template)
-            n_leaves = field_count(tspec.template)
-            n_arrays = sum(1 for _ in iter_arrays(tspec.template))
-            if len(tspec.fields) != n_leaves:
+            lay = layout(tspec.template)
+            charset = lay.charset
+            if len(tspec.fields) != lay.n_leaves:
                 raise SynthError("one field spec per placeholder required")
-            if len(tspec.arrays) != n_arrays:
+            if len(tspec.arrays) != len(lay.arrays):
                 raise SynthError("one array spec per array node required")
             for fs in tspec.fields:
                 if fs.kind == "real" and ord(".") in charset:
@@ -152,35 +150,18 @@ def _gen_value(fs: FieldSpec, rng: random.Random) -> bytes:
     return "".join(rng.choice(_STR_ALPHABET) for _ in range(n)).encode("latin-1")
 
 
-def _gen_record(tspec: TemplateSpec, rng: random.Random):
-    values: list[list[bytes]] = [[] for _ in tspec.fields]
-    arities: list[list[int]] = [[] for _ in tspec.arrays]
-    leaf_counter = [0]
-    arr_counter = [0]
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Field):
-            idx = leaf_counter[0]
-            leaf_counter[0] += 1
-            values[idx].append(_gen_value(tspec.fields[idx], rng))
-        elif isinstance(node, Struct):
-            for c in node.children:
-                walk(c)
-        elif isinstance(node, Array):
-            aidx = arr_counter[0]
-            arr_counter[0] += 1
-            spec = tspec.arrays[aidx]
+def _gen_record(tspec: TemplateSpec, lay: Layout, rng: random.Random,
+                values: list[list[bytes]], arities: list[list[int]]) -> None:
+    """Draw the values of ``lay``'s leaves and the arities of its arrays."""
+    for kind, index, _, body in lay.slots:
+        if kind == LEAF:
+            values[index].append(_gen_value(tspec.fields[index], rng))
+        elif kind == ARRAY:
+            spec = tspec.arrays[index]
             reps = rng.randint(spec.min_reps, spec.max_reps)
-            arities[aidx].append(reps)
-            leaf_mark = leaf_counter[0]
-            arr_mark = arr_counter[0]
+            arities[index].append(reps)
             for _ in range(reps):
-                leaf_counter[0] = leaf_mark
-                arr_counter[0] = arr_mark
-                walk(node.body)
-
-    walk(tspec.template)
-    return values, arities
+                _gen_record(tspec, body, rng, values, arities)
 
 
 @dataclass
@@ -207,10 +188,12 @@ def generate(spec: SynthSpec) -> SynthResult:
     rendered: list[tuple] = []  # ("record", type, bytes) | ("noise", None)
     for b in blocks:
         if b[0] == "record":
-            t = b[1]
-            values, arities = _gen_record(spec.templates[t], rng)
-            rendered.append(("record", t, render_record(
-                spec.templates[t].template, values, arities), values, arities))
+            tspec = spec.templates[b[1]]
+            values = [[] for _ in tspec.fields]
+            arities = [[] for _ in tspec.arrays]
+            _gen_record(tspec, layout(tspec.template), rng, values, arities)
+            rendered.append(("record", b[1], render_record(
+                tspec.template, values, arities), values, arities))
         else:
             rendered.append(("noise", None, b"", None, None))
 
@@ -247,9 +230,7 @@ def generate(spec: SynthSpec) -> SynthResult:
 
     # Assemble ground truth as an ideal extraction.
     schemas = [build_schema(i, t.template) for i, t in enumerate(spec.templates)]
-    tables_per_type = [
-        [Table(ts.name, list(ts.columns), []) for ts in sc.tables] for sc in schemas
-    ]
+    tables_per_type, fks = new_tables(schemas)
     line_labels: list[tuple] = []
     records: list[tuple[int, int, int]] = []
     metas: list[RecordMeta] = []
@@ -278,11 +259,6 @@ def generate(spec: SynthSpec) -> SynthResult:
         offset += len(block_bytes)
         line_no += le - ls
     data = b"".join(lines)
-    fks = {}
-    for sc in schemas:
-        for ts in sc.tables:
-            if ts.parent is not None:
-                fks[(ts.name, "_parent_id")] = ts.parent
     truth = RelationalOutput(
         [t for group in tables_per_type for t in group], fks, denormalized,
         noise_entries, metas, schemas, source_len=len(data))
@@ -488,11 +464,7 @@ def truth_from_json(doc: dict) -> SynthResult:
                for i, t in enumerate(doc["templates"])]
     tables = [Table(t["name"], list(t["columns"]), [list(r) for r in t["rows"]])
               for t in doc["tables"]]
-    fks = {}
-    for sc in schemas:
-        for ts in sc.tables:
-            if ts.parent is not None:
-                fks[(ts.name, "_parent_id")] = ts.parent
+    _, fks = new_tables(schemas)
     records = [tuple(r) for r in doc["records"]]
     metas = [RecordMeta(t, 0, s, e, 0, 0) for t, s, e in records]
     truth = RelationalOutput(tables, fks, [], [], metas, schemas)

@@ -5,14 +5,24 @@ placeholder byte ``F`` standing for one field value.  A structure template is
 a tree of Struct / Array / Field nodes describing a restricted regular
 expression over record templates: an array ``(body sep)* body term`` repeats
 one unit with a single-byte separator and a distinct single-byte terminator.
+
+A record matched by a structure template is held as ``(values, arities)``.
+The template's leaves (fields) and arrays are numbered in pre-order, an
+array before the leaves and arrays of its body.  ``values[i]`` lists the
+values of leaf ``i`` in record order, across all repetitions of the arrays
+around it; ``arities[j]`` lists the repetition count of each instance of
+array ``j`` in record order (an array nested in another has one instance per
+repetition of the outer one).  :func:`layout` is the one place that assigns
+these numbers; everything that reads or writes the form walks its result.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import string
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import NamedTuple, Union
 
 FIELD_BYTE = ord("F")
 NEWLINE = ord("\n")
@@ -70,30 +80,30 @@ def struct_of(elements) -> Node:
     sequence collapses to its only element.
     """
     flat: list[Node] = []
-
-    def push(e: Node) -> None:
-        if isinstance(e, Struct):
-            for c in e.children:
-                push(c)
-        elif isinstance(e, (bytes, bytearray)):
-            if len(e) == 0:
-                return
-            if flat and isinstance(flat[-1], bytes):
-                flat[-1] = flat[-1] + bytes(e)
-            else:
-                flat.append(bytes(e))
-        elif isinstance(e, int):
-            push(bytes([e]))
-        else:
-            flat.append(e)
-
     for e in elements:
-        push(e)
+        _push(flat, e)
     if not flat:
         raise TemplateError("empty template")
     if len(flat) == 1:
         return flat[0]
     return Struct(tuple(flat))
+
+
+def _push(flat: list[Node], e) -> None:
+    if isinstance(e, Struct):
+        for c in e.children:
+            _push(flat, c)
+    elif isinstance(e, (bytes, bytearray)):
+        if len(e) == 0:
+            return
+        if flat and isinstance(flat[-1], bytes):
+            flat[-1] = flat[-1] + bytes(e)
+        else:
+            flat.append(bytes(e))
+    elif isinstance(e, int):
+        _push(flat, bytes([e]))
+    else:
+        flat.append(e)
 
 
 def _elements(node: Node) -> tuple[Node, ...]:
@@ -102,48 +112,74 @@ def _elements(node: Node) -> tuple[Node, ...]:
     return (node,)
 
 
-def iter_fields(node: Node) -> Iterator[Field]:
-    """Pre-order iteration over field leaves."""
-    if isinstance(node, Field):
-        yield node
-    elif isinstance(node, Array):
-        yield from iter_fields(node.body)
-    elif isinstance(node, Struct):
-        for c in node.children:
-            yield from iter_fields(c)
+# ---------------------------------------------------------------------------
+# Layout: the numbering of leaves and arrays
+#
+# Walks over a template or a layout are module-level functions, not nested
+# closures: a recursive closure refers to itself through its cell, so every
+# call would leave a reference cycle that only the cyclic collector frees.
+
+LEAF, LITERAL, ARRAY = range(3)
 
 
-def iter_arrays(node: Node) -> Iterator[Array]:
-    """Pre-order iteration over array nodes."""
-    if isinstance(node, Array):
-        yield node
-        yield from iter_arrays(node.body)
-    elif isinstance(node, Struct):
-        for c in node.children:
-            yield from iter_arrays(c)
+class Slot(NamedTuple):
+    """One element of a template body, in record order."""
+
+    kind: int  # LEAF, LITERAL or ARRAY
+    index: int  # the leaf or array number; -1 for a literal
+    node: Node  # the Field, the literal bytes or the Array
+    body: "Layout | None"  # an array's body, numbered on from the array
+
+
+class Layout(NamedTuple):
+    """A template body as numbered slots, with what is counted on the way."""
+
+    slots: tuple[Slot, ...]
+    charset: frozenset[int]  # literal bytes and array separators/terminators
+    n_leaves: int
+    arrays: tuple[Array, ...]  # every array inside, in array-number order
+
+
+def _number(node: Node, leaf: int, arr: int) -> Layout:
+    """Lay out ``node`` given the numbers of its first leaf and first array."""
+    first_leaf = leaf
+    slots: list[Slot] = []
+    charset: set[int] = set()
+    arrays: list[Array] = []
+    for e in _elements(node):
+        if isinstance(e, Field):
+            slots.append(Slot(LEAF, leaf, e, None))
+            leaf += 1
+        elif isinstance(e, bytes):
+            slots.append(Slot(LITERAL, -1, e, None))
+            charset.update(e)
+        else:
+            body = _number(e.body, leaf, arr + 1)
+            slots.append(Slot(ARRAY, arr, e, body))
+            charset |= body.charset
+            charset.update((e.sep, e.term))
+            arrays.append(e)
+            arrays.extend(body.arrays)
+            leaf += body.n_leaves
+            arr += 1 + len(body.arrays)
+    return Layout(tuple(slots), frozenset(charset), leaf - first_leaf, tuple(arrays))
+
+
+# Cached because render_record looks the layout up once per record; a few
+# dozen entries cover that, while every entry holds its template alive.
+@functools.lru_cache(maxsize=64)
+def layout(node: Node) -> Layout:
+    """The numbered layout of a whole template (see the module docstring)."""
+    return _number(node, 0, 0)
 
 
 def field_count(node: Node) -> int:
-    return sum(1 for _ in iter_fields(node))
+    return layout(node).n_leaves
 
 
 def template_charset(node: Node) -> frozenset[int]:
     """All formatting bytes used by the template (literals, seps, terms)."""
-    out: set[int] = set()
-
-    def walk(n: Node) -> None:
-        if isinstance(n, bytes):
-            out.update(n)
-        elif isinstance(n, Array):
-            out.add(n.sep)
-            out.add(n.term)
-            walk(n.body)
-        elif isinstance(n, Struct):
-            for c in n.children:
-                walk(c)
-
-    walk(node)
-    return frozenset(out)
+    return layout(node).charset
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +236,26 @@ def _escape_byte(b: int) -> bytes:
 def canonical_string(node: Node) -> bytes:
     """Deterministic serialization; equal templates iff equal strings."""
     out = bytearray()
-
-    def walk(n: Node) -> None:
-        if isinstance(n, Field):
-            out.append(FIELD_BYTE)
-        elif isinstance(n, bytes):
-            for b in n:
-                out.extend(_escape_byte(b))
-        elif isinstance(n, Array):
-            out.extend(b"(")
-            walk(n.body)
-            out.extend(_escape_byte(n.sep))
-            out.extend(b")*")
-            walk(n.body)
-            out.extend(_escape_byte(n.term))
-        else:
-            for c in n.children:
-                walk(c)
-
-    walk(node)
+    _write_canonical(node, out)
     return bytes(out)
+
+
+def _write_canonical(n: Node, out: bytearray) -> None:
+    if isinstance(n, Field):
+        out.append(FIELD_BYTE)
+    elif isinstance(n, bytes):
+        for b in n:
+            out.extend(_escape_byte(b))
+    elif isinstance(n, Array):
+        out.extend(b"(")
+        _write_canonical(n.body, out)
+        out.extend(_escape_byte(n.sep))
+        out.extend(b")*")
+        _write_canonical(n.body, out)
+        out.extend(_escape_byte(n.term))
+    else:
+        for c in n.children:
+            _write_canonical(c, out)
 
 
 def template_key(node: Node) -> int:
@@ -530,42 +566,41 @@ def reduce_node(node: Node) -> Node:
 def matches(st: Node, rt: RecordTemplate | bytes) -> bool:
     """True iff the record template is in the language of the template."""
     text = rt.text if isinstance(rt, RecordTemplate) else bytes(rt)
+    return _match_end(st, text, 0) == len(text)
 
-    def match(node: Node, pos: int) -> int:
-        # Returns the end position, or -1 on failure.
-        if isinstance(node, Field):
-            if pos < len(text) and text[pos] == FIELD_BYTE:
-                return pos + 1
-            return -1
-        if isinstance(node, bytes):
-            end = pos + len(node)
-            if text[pos:end] == node:
-                return end
-            return -1
-        if isinstance(node, Struct):
-            for c in node.children:
-                pos = match(c, pos)
-                if pos < 0:
-                    return -1
-            return pos
-        # Array
-        pos = match(node.body, pos)
-        if pos < 0:
-            return -1
-        while True:
-            if pos >= len(text):
-                return -1
-            b = text[pos]
-            if b == node.term:
-                return pos + 1
-            if b != node.sep:
-                return -1
-            pos = match(node.body, pos + 1)
+
+def _match_end(node: Node, text: bytes, pos: int) -> int:
+    """End of ``node`` matched at ``pos`` of a record template, or -1."""
+    if isinstance(node, Field):
+        if pos < len(text) and text[pos] == FIELD_BYTE:
+            return pos + 1
+        return -1
+    if isinstance(node, bytes):
+        end = pos + len(node)
+        if text[pos:end] == node:
+            return end
+        return -1
+    if isinstance(node, Struct):
+        for c in node.children:
+            pos = _match_end(c, text, pos)
             if pos < 0:
                 return -1
-
-    end = match(st, 0)
-    return end == len(text)
+        return pos
+    # Array
+    pos = _match_end(node.body, text, pos)
+    if pos < 0:
+        return -1
+    while True:
+        if pos >= len(text):
+            return -1
+        b = text[pos]
+        if b == node.term:
+            return pos + 1
+        if b != node.sep:
+            return -1
+        pos = _match_end(node.body, text, pos + 1)
+        if pos < 0:
+            return -1
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +612,10 @@ def _regex_field(charset: frozenset[int]) -> bytes:
     return b"[^" + cls + b"]+"
 
 
-@dataclass
-class _TopElement:
-    kind: str  # "field" | "lit" | "array"
-    index: int  # leaf or array index, -1 for literals
-    group: int  # regex group number, -1 for literals
+def _literal_regex(lit: bytes, eof_ok: bool) -> bytes:
+    if eof_ok and lit.endswith(b"\n"):
+        return re.escape(lit[:-1]) + b"(?:\\n|\\Z)"
+    return re.escape(lit)
 
 
 class CompiledTemplate:
@@ -594,90 +628,23 @@ class CompiledTemplate:
     def __init__(self, st: Node):
         self.template = st
         self.canonical = canonical_string(st)
-        self.charset = template_charset(st)
-        if NEWLINE not in self.charset:
-            # Every block is newline-terminated; templates built by the
-            # pipeline always end with one.
-            self.charset = self.charset | frozenset([NEWLINE])
-        self.n_fields = field_count(st)
-        self.arrays = list(iter_arrays(st))
-        self._field_re = _regex_field(self.charset)
-        self._group_count = 0
-        self._top: list[_TopElement] = []
-        self._array_meta: dict[int, "_ArrayMeta"] = {}
-        pattern = self._compile_top(st)
-        self._rx = re.compile(pattern)
-        self._first_pred = self._first_byte_predicate(st)
-
-    # -- compilation ------------------------------------------------------
-
-    def _compile_top(self, st: Node) -> bytes:
-        parts = []
-        leaf_idx = 0
-        array_idx = 0
-        elems = _elements(st)
-        for i, e in enumerate(elems):
-            last = i == len(elems) - 1
-            if isinstance(e, Field):
-                self._group_count += 1
-                self._top.append(_TopElement("field", leaf_idx, self._group_count))
-                parts.append(b"(" + self._field_re + b")")
-                leaf_idx += 1
-            elif isinstance(e, bytes):
-                parts.append(self._literal_regex(e, eof_ok=last))
-                self._top.append(_TopElement("lit", -1, -1))
-            else:
-                sub_leaves = field_count(e)
-                sub_arrays = 1 + sum(1 for _ in iter_arrays(e.body))
-                self._group_count += 1
-                group = self._group_count
-                self._top.append(_TopElement("array", array_idx, group))
-                parts.append(
-                    b"(" + self._array_regex(e, eof_ok=last) + b")"
-                )
-                self._array_meta[array_idx] = _ArrayMeta(
-                    e, array_idx, leaf_idx, self._field_re, self.charset
-                )
-                leaf_idx += sub_leaves
-                array_idx += sub_arrays
-        return b"".join(parts)
-
-    def _literal_regex(self, lit: bytes, eof_ok: bool) -> bytes:
-        if eof_ok and lit.endswith(b"\n"):
-            return re.escape(lit[:-1]) + b"(?:\\n|\\Z)"
-        return re.escape(lit)
-
-    def _groupless(self, node: Node) -> bytes:
-        if isinstance(node, Field):
-            return b"(?:" + self._field_re + b")"
-        if isinstance(node, bytes):
-            return re.escape(node)
-        if isinstance(node, Struct):
-            return b"".join(self._groupless(c) for c in node.children)
-        return self._array_regex(node, eof_ok=False)
-
-    def _array_regex(self, a: Array, eof_ok: bool) -> bytes:
-        body = self._groupless(a.body)
-        sep = re.escape(bytes([a.sep]))
-        term = re.escape(bytes([a.term]))
-        if eof_ok and a.term == NEWLINE:
-            term = b"(?:\\n|\\Z)"
-        return b"(?:" + body + sep + b")*" + body + term
-
-    def _first_byte_predicate(self, node: Node):
-        """(kind, payload): 'byte' -> exact first byte, 'field' -> non-charset."""
-        e = _elements(node)[0]
-        if isinstance(e, bytes):
-            return ("byte", e[0])
-        if isinstance(e, Field):
-            return ("field", self.charset)
-        return self._first_byte_predicate(e.body)
-
-    @property
-    def first_pred(self):
-        return self._first_pred
-
-    # -- matching ---------------------------------------------------------
+        lay = layout(st)
+        # Every block is newline-terminated; templates built by the pipeline
+        # always end with one.
+        self.charset = lay.charset | {NEWLINE}
+        self.n_fields = lay.n_leaves
+        self.arrays = list(lay.arrays)
+        # The top level is one repetition of a body that may end at EOF.
+        self._top = _Body(lay, _regex_field(self.charset), eof_ok=True)
+        self._rx = self._top.rx
+        first = lay.slots[0]
+        while first.kind == ARRAY:
+            first = first.body.slots[0]
+        # (kind, payload): 'byte' -> exact first byte, 'field' -> non-charset.
+        if first.kind == LITERAL:
+            self.first_pred = ("byte", first.node[0])
+        else:
+            self.first_pred = ("field", self.charset)
 
     def match_at(self, buf: bytes, pos: int, endpos: int):
         """Match at pos; returns (end, values_per_leaf, arities_per_array)."""
@@ -686,12 +653,7 @@ class CompiledTemplate:
             return None
         values: list[list[bytes]] = [[] for _ in range(self.n_fields)]
         arities: list[list[int]] = [[] for _ in range(len(self.arrays))]
-        for el in self._top:
-            if el.kind == "field":
-                values[el.index].append(m.group(el.group))
-            elif el.kind == "array":
-                meta = self._array_meta[el.index]
-                meta.decompose(m.group(el.group), values, arities)
+        self._top.fill(m, values, arities)
         return m.end(), values, arities
 
     def match_end(self, buf: bytes, pos: int, endpos: int) -> int:
@@ -699,92 +661,86 @@ class CompiledTemplate:
         return -1 if m is None else m.end()
 
 
-class _ArrayMeta:
-    """Splits a matched array region into per-repetition values."""
+class _Body:
+    """Regex and value splitter of one template body: the whole template, or
+    the body of one array.
 
-    def __init__(self, node: Array, array_idx: int, leaf_base: int,
-                 field_re: bytes, charset: frozenset[int]):
-        self.node = node
-        self.array_idx = array_idx
-        self.leaf_base = leaf_base
-        self.sep_b = bytes([node.sep])
-        self.term = node.term
-        body = node.body
-        self.body_is_field = isinstance(body, Field)
-        self.fast_split = node.sep not in template_charset(body) if not self.body_is_field else True
-        self.sub_leaves = field_count(body)
-        self.inner: list[tuple[str, int, int, _ArrayMeta | None]] = []
-        if not self.body_is_field:
-            parts = []
-            group = 0
-            leaf = leaf_base
-            arr = array_idx + 1
-            for e in _elements(body):
-                if isinstance(e, Field):
-                    group += 1
-                    parts.append(b"(" + field_re + b")")
-                    self.inner.append(("field", leaf, group, None))
-                    leaf += 1
-                elif isinstance(e, bytes):
-                    parts.append(re.escape(e))
-                else:
-                    group += 1
-                    sub = _ArrayMeta(e, arr, leaf, field_re, charset)
-                    parts.append(b"(" + _groupless_regex(e, field_re) + b")")
-                    self.inner.append(("array", leaf, group, sub))
-                    leaf += field_count(e)
-                    arr += 1 + sum(1 for _ in iter_arrays(e.body))
-            self._body_rx = re.compile(b"".join(parts))
-        else:
-            self._body_rx = None
+    ``rx`` captures one group per leaf and per array slot of the body, in
+    slot order; ``plain`` is the same pattern without groups, for use inside
+    an enclosing array's pattern.  With ``eof_ok`` the body's last literal
+    or array terminator may end at EOF instead of at its newline.
+    """
 
-    def decompose(self, region: bytes, values: list[list[bytes]],
-                  arities: list[list[int]]) -> None:
+    __slots__ = ("plain", "rx", "groups", "index", "sep", "term",
+                 "fast_split", "single_leaf")
+
+    def __init__(self, lay: Layout, field_re: bytes, eof_ok: bool = False,
+                 array: Slot | None = None):
+        captured: list[bytes] = []
+        plain: list[bytes] = []
+        groups: list[tuple[int, _Body | None]] = []  # (leaf, None) or (-1, array body)
+        last = len(lay.slots) - 1
+        for i, slot in enumerate(lay.slots):
+            if slot.kind == LEAF:
+                captured.append(b"(" + field_re + b")")
+                plain.append(b"(?:" + field_re + b")")
+                groups.append((slot.index, None))
+            elif slot.kind == LITERAL:
+                rx = _literal_regex(slot.node, eof_ok and i == last)
+                captured.append(rx)
+                plain.append(rx)
+            else:
+                sub = _Body(slot.body, field_re, array=slot)
+                a = slot.node
+                rx = (b"(?:" + sub.plain + re.escape(bytes([a.sep])) + b")*"
+                      + sub.plain + _literal_regex(bytes([a.term]), eof_ok and i == last))
+                captured.append(b"(" + rx + b")")
+                plain.append(rx)
+                groups.append((-1, sub))
+        self.plain = b"".join(plain)
+        self.rx = re.compile(b"".join(captured))
+        self.groups = tuple(groups)
+        if array is not None:
+            self.index = array.index
+            self.sep = bytes([array.node.sep])
+            self.term = bytes([array.node.term])
+            self.fast_split = array.node.sep not in lay.charset
+            one_leaf = len(lay.slots) == 1 and lay.slots[0].kind == LEAF
+            self.single_leaf = lay.slots[0].index if one_leaf else -1
+
+    def fill(self, m: re.Match, values: list[list[bytes]],
+             arities: list[list[int]]) -> None:
+        """Append the values and arities of one match of ``rx``."""
+        for (leaf, sub), text in zip(self.groups, m.groups()):
+            if sub is None:
+                values[leaf].append(text)
+            else:
+                sub.split(text, values, arities)
+
+    def split(self, region: bytes, values: list[list[bytes]],
+              arities: list[list[int]]) -> None:
+        """Append one matched instance of this array body's array."""
         # region includes the terminator byte unless cut short at EOF.
-        if region.endswith(bytes([self.term])):
+        if region.endswith(self.term):
             region = region[:-1]
-        if self.fast_split:
-            parts = region.split(self.sep_b)
-        else:
-            parts = self._iter_split(region)
-        arities[self.array_idx].append(len(parts))
-        if self.body_is_field:
-            values_list = values[self.leaf_base]
-            for p in parts:
-                values_list.append(p)
+        parts = region.split(self.sep) if self.fast_split else self._instances(region)
+        arities[self.index].append(len(parts))
+        if self.single_leaf >= 0:
+            values[self.single_leaf].extend(parts)
             return
         for p in parts:
-            m = self._body_rx.fullmatch(p)
-            for kind, leaf, group, sub in self.inner:
-                if kind == "field":
-                    values[leaf].append(m.group(group))
-                else:
-                    sub.decompose(m.group(group), values, arities)
+            self.fill(self.rx.fullmatch(p), values, arities)
 
-    def _iter_split(self, region: bytes) -> list[bytes]:
+    def _instances(self, region: bytes) -> list[bytes]:
         # Body literals contain the separator byte: walk instance by instance.
         parts = []
         pos = 0
         while True:
-            m = self._body_rx.match(region, pos)
-            end = m.end()
+            end = self.rx.match(region, pos).end()
             parts.append(region[pos:end])
             if end >= len(region):
                 return parts
             pos = end + 1  # skip separator
-
-
-def _groupless_regex(node: Node, field_re: bytes) -> bytes:
-    if isinstance(node, Field):
-        return b"(?:" + field_re + b")"
-    if isinstance(node, bytes):
-        return re.escape(node)
-    if isinstance(node, Struct):
-        return b"".join(_groupless_regex(c, field_re) for c in node.children)
-    body = _groupless_regex(node.body, field_re)
-    sep = re.escape(bytes([node.sep]))
-    term = re.escape(bytes([node.term]))
-    return b"(?:" + body + sep + b")*" + body + term
 
 
 def compile_template(st: Node) -> CompiledTemplate:
@@ -793,35 +749,19 @@ def compile_template(st: Node) -> CompiledTemplate:
 
 def render_record(st: Node, values: list[list[bytes]], arities: list[list[int]]) -> bytes:
     """Rebuild the exact record bytes from per-leaf values and array arities."""
-    leaf_pos = [0] * len(values)
-    arr_pos = [0] * len(arities)
-    leaf_counter = [0]
-    arr_counter = [0]
     out = bytearray()
-
-    def walk(node: Node) -> None:
-        if isinstance(node, Field):
-            idx = leaf_counter[0]
-            leaf_counter[0] += 1
-            out.extend(values[idx][leaf_pos[idx]])
-            leaf_pos[idx] += 1
-        elif isinstance(node, bytes):
-            out.extend(node)
-        elif isinstance(node, Struct):
-            for c in node.children:
-                walk(c)
-        else:
-            aidx = arr_counter[0]
-            arr_counter[0] += 1
-            reps = arities[aidx][arr_pos[aidx]]
-            arr_pos[aidx] += 1
-            leaf_mark = leaf_counter[0]
-            arr_mark = arr_counter[0]
-            for r in range(reps):
-                leaf_counter[0] = leaf_mark
-                arr_counter[0] = arr_mark
-                walk(node.body)
-                out.append(node.sep if r < reps - 1 else node.term)
-
-    walk(st)
+    _render(layout(st), [iter(v) for v in values], [iter(a) for a in arities], out)
     return bytes(out)
+
+
+def _render(lay: Layout, values: list, arities: list, out: bytearray) -> None:
+    for kind, index, node, body in lay.slots:
+        if kind == LEAF:
+            out += next(values[index])
+        elif kind == LITERAL:
+            out += node
+        else:
+            reps = next(arities[index])
+            for r in range(reps):
+                _render(body, values, arities, out)
+                out.append(node.sep if r < reps - 1 else node.term)

@@ -167,6 +167,7 @@ MULTI_SETS = [
 ]
 
 
+@pytest.mark.slow
 def test_ac5_multi_type_with_noise():
     successes = 0
     failures = []

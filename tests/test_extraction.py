@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 
 import pytest
@@ -96,6 +97,39 @@ def test_conservation_with_arrays_and_eof_without_newline():
     corpus = corpus_from_bytes(data)
     out = extract_all(corpus, plan_of(b"[F] (F,)*F;\n"))
     assert reconstruct(out) == data
+
+
+def _unreachable_after(fn):
+    """(objects in reference cycles that ``fn`` left behind, its result)."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = fn()
+        return gc.collect(), result
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_record_walks_leave_no_garbage_per_record():
+    # A walk over a record that leaves a reference cycle behind (as a
+    # recursive nested closure does) makes work for the cyclic collector in
+    # proportion to the record count.
+    counts = {}
+    for n in (60, 240):
+        spec = make_spec(
+            [(b'F,"(F,)*F",F\n', [FieldSpec("str"), FieldSpec("int", 0, 9999),
+                                   FieldSpec("str")], [ArraySpec(1, 5)], 1.0)],
+            noise_fraction=0.1, record_count=n, seed=0)
+        gen, res = _unreachable_after(lambda: generate(spec))
+        ext, out = _unreachable_after(lambda: extract_all(
+            corpus_from_bytes(res.data), plan_of(b'F,"(F,)*F",F\n')))
+        rec, data = _unreachable_after(lambda: reconstruct(out))
+        assert data == res.data
+        counts[n] = {"generate": gen, "extract_all": ext, "reconstruct": rec}
+    for step, small in counts[60].items():
+        assert counts[240][step] <= small, counts
 
 
 def test_column_arity_is_constant_per_table():

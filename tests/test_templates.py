@@ -1,7 +1,18 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logstruct.extraction import (
+    RecordMeta,
+    RelationalOutput,
+    build_schema,
+    emit_record,
+    new_tables,
+    record_values,
+)
 from logstruct.templates import (
     Array,
     Field,
@@ -242,10 +253,20 @@ def test_compiled_matcher_agrees_with_extraction(rt):
     """Matching raw text against a template is extraction plus matching."""
     reduced = reduce_to_structure_template(rt)
     charset = template_charset(reduced) | {ord("\n")}
-    # instantiate the record template with concrete field values
-    raw = rt.replace(b"F", b"xy")
+    # instantiate the record template with a distinct value per field
+    values_in_order = (b"x%d" % i for i in itertools.count())
+    raw = re.sub(b"F", lambda _: next(values_in_order), rt)
     ct = compile_template(reduced)
     hit = ct.match_at(raw, 0, len(raw))
     extracted = extract_record_template(raw, charset)
     assert hit is not None and hit[0] == len(raw)
     assert matches(reduced, extracted)
+    # (values, arities) round trips through the record's bytes and its rows
+    _, values, arities = hit
+    assert render_record(ct.template, values, arities) == raw
+    schema = build_schema(0, ct.template)
+    tables_per_type, fks = new_tables([schema])
+    row_id, _ = emit_record(schema, tables_per_type[0], values, arities)
+    out = RelationalOutput(tables_per_type[0], fks, [], [],
+                           [RecordMeta(0, row_id, 0, 1, 0, len(raw))], [schema])
+    assert record_values(out, out.records[0]) == (values, arities)
