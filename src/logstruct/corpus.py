@@ -50,9 +50,6 @@ class TextView:
     def n_lines(self) -> int:
         return len(self.offsets) - 1
 
-    def line(self, i: int) -> bytes:
-        return self.data[self.offsets[i] : self.offsets[i + 1]]
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -64,10 +61,6 @@ class Corpus:
     @property
     def total_len(self) -> int:
         return len(self.data)
-
-    @property
-    def line_starts(self) -> list[int]:
-        return self.offsets[:-1].tolist()
 
     @property
     def n_lines(self) -> int:

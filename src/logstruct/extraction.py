@@ -2,7 +2,8 @@
 
 Each record type gets one root table; every array node gets a child table
 linked by a ``_parent_id`` foreign key (nested arrays chain grandchild
-tables).  Each field placeholder maps to exactly one column.  Unmatched
+tables).  Each field placeholder maps to exactly one column.  Records are
+found by the scan that scoring uses (see :mod:`logstruct.scoring`); unmatched
 lines go to a noise sidecar, so records plus noise reconstruct the corpus.
 """
 
@@ -15,11 +16,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
-from .scoring import candidate_lines
+from .scoring import scan_records
 from .templates import (
     ARRAY,
     LEAF,
@@ -199,46 +198,36 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
     if not plan.templates:
         raise ValueError("empty extraction plan")
     tv = corpus.view()
-    buf = tv.data
-    offsets = tv.offsets
-    n = tv.n_lines
-    L = plan.max_span_lines
     compiled = [compile_template(t) for t in plan.template_nodes]
     schemas = [build_schema(i, c.template) for i, c in enumerate(compiled)]
     tables_per_type, fks = new_tables(schemas)
-    cand = [candidate_lines(tv, c) for c in compiled]
     denormalized: list[dict] = []
     noise: list[tuple[int, bytes]] = []
     records: list[RecordMeta] = []
 
     with _gc_paused():
-        i = 0
-        while i < n:
-            pos = int(offsets[i])
-            hit = None
-            for k, comp in enumerate(compiled):
-                if not cand[k][i]:
-                    continue
-                endpos = int(offsets[min(i + L, n)])
-                hit = comp.match_at(buf, pos, endpos)
-                if hit is not None:
-                    break
-            if hit is None:
-                end = int(offsets[i + 1])
-                noise.append((pos, buf[pos:end]))
-                i += 1
-                continue
-            end, values, arities = hit
+        prev = 0  # the first line after the previous record
+        for k, i, j, end, values, arities in scan_records(tv, compiled,
+                                                          plan.max_span_lines):
+            _noise_lines(tv, prev, i, noise)
             rid, nested = emit_record(schemas[k], tables_per_type[k], values, arities)
-            j = int(np.searchsorted(offsets, end, side="left"))
             nested["_span"] = [i, j]
-            records.append(RecordMeta(k, rid, i, j, pos, end))
+            records.append(RecordMeta(k, rid, i, j, int(tv.offsets[i]), end))
             denormalized.append(nested)
-            i = j
+            prev = j
+        _noise_lines(tv, prev, tv.n_lines, noise)
 
     tables = [t for group in tables_per_type for t in group]
     return RelationalOutput(tables, fks, denormalized, noise, records,
-                            schemas, source_len=len(buf))
+                            schemas, source_len=len(tv.data))
+
+
+def _noise_lines(tv: TextView, first: int, stop: int,
+                 noise: list[tuple[int, bytes]]) -> None:
+    """Append lines ``[first, stop)`` as ``(offset, line)`` noise entries."""
+    for g in range(first, stop):
+        s, e = int(tv.offsets[g]), int(tv.offsets[g + 1])
+        noise.append((s, tv.data[s:e]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import SampleView, TextView
+from .corpus import TextView
 from .templates import (
     ENUMERABLE_CANDIDATE_BYTES,
     FIELD_BYTE,
@@ -35,6 +35,10 @@ _BINV = np.uint64(pow(1099511628211, -1, 2**64))
 _C = np.uint64(0x9E3779B97F4A7C15 | 1)
 
 
+MAX_CHARSET_SIZE = 16  # exhaustive-search guard on 2^c blowup
+MAX_KEYS_PER_WINDOW = 65536  # scalability cap on distinct span keys
+
+
 class SearchSpaceError(ValueError):
     pass
 
@@ -44,8 +48,6 @@ class GenerationConfig:
     alpha: float = 10.0  # minimum coverage, percent of sampled bytes
     max_span_lines: int = 10
     search_mode: str = "greedy"  # "greedy" | "exhaustive"
-    max_charset_size: int = 16  # exhaustive-search guard on 2^c blowup
-    max_keys_per_window: int = 65536  # scalability cap on distinct span keys
 
     def __post_init__(self):
         if not (0 < self.alpha <= 100):
@@ -93,10 +95,6 @@ class SearchResult:
     candidates: CandidateSet
     subsets_enumerated: int
     final_charset: frozenset[int] = frozenset()
-
-
-def _as_text(view) -> TextView:
-    return view.text if isinstance(view, SampleView) else view
 
 
 class _GenContext:
@@ -220,7 +218,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
         n_groups = len(bounds)
         starts_sorted = idx[order]
 
-        if n_groups <= cfg.max_keys_per_window:
+        if n_groups <= MAX_KEYS_PER_WINDOW:
             proc = range(n_groups)
         else:
             # Too many distinct keys (noise flood): take groups by span count
@@ -230,7 +228,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
             remaining = int(offs[-1]) * w
             chosen = []
             for g in by_mass:
-                if len(chosen) >= cfg.max_keys_per_window or remaining < threshold:
+                if len(chosen) >= MAX_KEYS_PER_WINDOW or remaining < threshold:
                     break
                 chosen.append(int(g))
                 remaining -= int(approx[g])
@@ -283,21 +281,21 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
     return out
 
 
-def gen_for_charset(view, charset: frozenset[int],
+def gen_for_charset(view: TextView, charset: frozenset[int],
                     cfg: GenerationConfig | None = None) -> CandidateSet:
     """Accumulate candidates for one formatting charset ('\\n' is implied)."""
     cfg = cfg or GenerationConfig()
-    ctx = _GenContext(_as_text(view))
+    ctx = _GenContext(view)
     return _gen_one(ctx, frozenset(charset), cfg)
 
 
-def exhaustive_search(view, cfg: GenerationConfig | None = None) -> SearchResult:
+def exhaustive_search(view: TextView, cfg: GenerationConfig | None = None) -> SearchResult:
     """Union of gen_for_charset over every subset of the present specials."""
     cfg = cfg or GenerationConfig()
-    ctx = _GenContext(_as_text(view))
+    ctx = _GenContext(view)
     present = ctx.present_specials
     c = len(present)
-    if c > cfg.max_charset_size:
+    if c > MAX_CHARSET_SIZE:
         raise SearchSpaceError(
             f"{c} candidate special characters present; exhaustive search "
             f"enumerates 2^{c} subsets. Use greedy search instead."
@@ -311,11 +309,11 @@ def exhaustive_search(view, cfg: GenerationConfig | None = None) -> SearchResult
     return SearchResult(merged, count, frozenset(present))
 
 
-def greedy_search(view, cfg: GenerationConfig | None = None) -> SearchResult:
+def greedy_search(view: TextView, cfg: GenerationConfig | None = None) -> SearchResult:
     """Grow the charset one character at a time, keeping the addition whose
     best candidate has the highest coverage * non-field-coverage product."""
     cfg = cfg or GenerationConfig()
-    ctx = _GenContext(_as_text(view))
+    ctx = _GenContext(view)
     merged = CandidateSet()
     merged.union(_gen_one(ctx, frozenset(), cfg))
     count = 1
@@ -341,7 +339,7 @@ def greedy_search(view, cfg: GenerationConfig | None = None) -> SearchResult:
     return SearchResult(merged, count, frozenset(current))
 
 
-def run_search(view, cfg: GenerationConfig | None = None) -> SearchResult:
+def run_search(view: TextView, cfg: GenerationConfig | None = None) -> SearchResult:
     cfg = cfg or GenerationConfig()
     if cfg.search_mode == "exhaustive":
         return exhaustive_search(view, cfg)

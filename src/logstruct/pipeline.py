@@ -207,6 +207,8 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
         compile_template(node)  # admission check
         if field_count(node) == 0:
             raise ValueError("template without fields in plan")
+        if not canonical_string(node).endswith(b"\n"):
+            raise ValueError("plan templates must end with a newline")
         st = ScoredTemplate(
             template=node,
             canonical=canonical_string(node),

@@ -12,10 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-import numpy as np
-
 from .corpus import TextView
-from .scoring import ScoredTemplate, candidate_lines, score
+from .scoring import ScoredTemplate, scan_records, score
 from .templates import (
     ARRAY,
     NEWLINE,
@@ -188,19 +186,10 @@ def shift_structure(st: Node, view: TextView, max_span_lines: int = 10) -> Node:
     best = None
     for v in variants:
         compiled = compile_template(v)
-        cand = candidate_lines(view, compiled)
-        first = None
-        offsets = view.offsets
-        n = view.n_lines
-        for i in np.flatnonzero(cand):
-            pos = int(offsets[i])
-            endpos = int(offsets[min(i + max_span_lines, n)])
-            if compiled.match_end(view.data, pos, endpos) >= 0:
-                first = int(i)
-                break
-        if first is None:
+        record = next(scan_records(view, [compiled], max_span_lines), None)
+        if record is None:
             continue
-        key = (first, compiled.canonical)
+        key = (record[1], compiled.canonical)  # the record's first line
         if best is None or key < best[0]:
             best = (key, v)
     return st if best is None else best[1]

@@ -1,6 +1,12 @@
 """Regularity scoring: parse text into record/noise blocks, infer field
 types, and compute the total description length in bits (lower is better).
 
+The scan rule, shared by scoring, structure shifting and extraction
+(:func:`scan_records`): at each line start try the templates in order, each
+over at most ``max_span_lines`` lines; the first match is a record and the
+scan resumes at the first line start at or after its end, otherwise the line
+is noise and the scan moves to the next line.
+
 Costs per value: enumerated ceil(log2 n_value); integer
 ceil(log2 (max - min + 1)); real ceil(log2 ((max - min) * 10^exp + 1));
 string (len + 1) * 8.  Each array instance also pays a fixed 32-bit
@@ -127,48 +133,57 @@ def candidate_lines(view: TextView, compiled: CompiledTemplate) -> np.ndarray:
     return mask[first]
 
 
-def parse_with_template(view: TextView, st: Node | CompiledTemplate,
-                        max_span_lines: int = 10) -> ParseResult:
-    """Greedy earliest-match scan: at each line boundary try one record
-    match over at most ``max_span_lines`` lines, else the line is noise."""
-    compiled = st if isinstance(st, CompiledTemplate) else compile_template(st)
+def scan_records(view: TextView, compiled: list[CompiledTemplate],
+                 max_span_lines: int):
+    """Yield ``(k, i, j, end, values, arities)`` for each record of the scan
+    (see the module docstring): template ``k`` in ``compiled`` matched lines
+    ``[i, j)`` up to byte ``end``.  The lines between records are noise."""
     buf = view.data
     offsets = view.offsets
     n = view.n_lines
-    cand = candidate_lines(view, compiled)
+    tries = [(k, c.match_at, candidate_lines(view, c))
+             for k, c in enumerate(compiled)]
+    i = 0
+    while i < n:
+        for k, match_at, cand in tries:
+            if cand[i]:
+                endpos = int(offsets[min(i + max_span_lines, n)])
+                hit = match_at(buf, int(offsets[i]), endpos)
+                if hit is not None:
+                    break
+        else:
+            i += 1
+            continue
+        end, values, arities = hit
+        j = int(np.searchsorted(offsets, end, side="left"))
+        yield k, i, j, end, values, arities
+        i = j
+
+
+def parse_with_template(view: TextView, st: Node | CompiledTemplate,
+                        max_span_lines: int = 10) -> ParseResult:
+    """Scan with one template; each run of noise lines is one noise block."""
+    compiled = st if isinstance(st, CompiledTemplate) else compile_template(st)
+    offsets = view.offsets
     leaf_values: list[list[bytes]] = [[] for _ in range(compiled.n_fields)]
     arity_counts: list[list[int]] = [[] for _ in range(len(compiled.arrays))]
     record_spans: list[tuple[int, int]] = []
     record_line_spans: list[tuple[int, int]] = []
     noise_spans: list[tuple[int, int]] = []
-    noise_open = False
-    i = 0
-    while i < n:
+    prev = 0  # the first line after the previous record
+    for _, i, j, end, values, arities in scan_records(view, [compiled], max_span_lines):
         pos = int(offsets[i])
-        hit = None
-        if cand[i]:
-            endpos = int(offsets[min(i + max_span_lines, n)])
-            hit = compiled.match_at(buf, pos, endpos)
-        if hit is None:
-            end = int(offsets[i + 1])
-            if noise_open:
-                s, _ = noise_spans[-1]
-                noise_spans[-1] = (s, end)
-            else:
-                noise_spans.append((pos, end))
-                noise_open = True
-            i += 1
-            continue
-        end, values, arities = hit
+        if i > prev:
+            noise_spans.append((int(offsets[prev]), pos))
         record_spans.append((pos, end))
+        record_line_spans.append((i, j))
         for dst, src in zip(leaf_values, values):
             dst.extend(src)
         for dst, src in zip(arity_counts, arities):
             dst.extend(src)
-        j = int(np.searchsorted(offsets, end, side="left"))
-        record_line_spans.append((i, j))
-        i = j
-        noise_open = False
+        prev = j
+    if prev < view.n_lines:
+        noise_spans.append((int(offsets[prev]), len(view.data)))
     m = len(record_spans) + len(noise_spans)
     return ParseResult(record_spans, record_line_spans, noise_spans,
                        leaf_values, arity_counts, m)

@@ -31,7 +31,6 @@ NEWLINE = ord("\n")
 # '\n' separates blocks and is therefore always a formatting byte; it is not
 # part of the enumerable candidate set used by the charset searches.
 ENUMERABLE_CANDIDATE_BYTES = frozenset(ord(c) for c in string.punctuation + " \t")
-CANDIDATE_BYTES = ENUMERABLE_CANDIDATE_BYTES | {NEWLINE}
 
 # Array reduction knobs: a run must contain at least MIN_ARRAY_UNITS copies of
 # the unit ("UxUxUy"), and a unit may serialize to at most MAX_UNIT_BYTES.
@@ -656,23 +655,20 @@ class CompiledTemplate:
         self._top.fill(m, values, arities)
         return m.end(), values, arities
 
-    def match_end(self, buf: bytes, pos: int, endpos: int) -> int:
-        m = self._rx.match(buf, pos, endpos)
-        return -1 if m is None else m.end()
-
 
 class _Body:
     """Regex and value splitter of one template body: the whole template, or
     the body of one array.
 
     ``rx`` captures one group per leaf and per array slot of the body, in
-    slot order; ``plain`` is the same pattern without groups, for use inside
-    an enclosing array's pattern.  With ``eof_ok`` the body's last literal
-    or array terminator may end at EOF instead of at its newline.
+    slot order (an array's group holds its repetitions, not its terminator);
+    ``plain`` is the same pattern without groups, for use inside an enclosing
+    array's pattern.  With ``eof_ok`` the body's last literal or array
+    terminator may end at EOF instead of at its newline.
     """
 
-    __slots__ = ("plain", "rx", "groups", "index", "sep", "term",
-                 "fast_split", "single_leaf")
+    __slots__ = ("plain", "rx", "groups", "index", "sep", "fast_split",
+                 "single_leaf")
 
     def __init__(self, lay: Layout, field_re: bytes, eof_ok: bool = False,
                  array: Slot | None = None):
@@ -692,10 +688,10 @@ class _Body:
             else:
                 sub = _Body(slot.body, field_re, array=slot)
                 a = slot.node
-                rx = (b"(?:" + sub.plain + re.escape(bytes([a.sep])) + b")*"
-                      + sub.plain + _literal_regex(bytes([a.term]), eof_ok and i == last))
-                captured.append(b"(" + rx + b")")
-                plain.append(rx)
+                rx = b"(?:" + sub.plain + re.escape(bytes([a.sep])) + b")*" + sub.plain
+                term = _literal_regex(bytes([a.term]), eof_ok and i == last)
+                captured.append(b"(" + rx + b")" + term)
+                plain.append(rx + term)
                 groups.append((-1, sub))
         self.plain = b"".join(plain)
         self.rx = re.compile(b"".join(captured))
@@ -703,7 +699,6 @@ class _Body:
         if array is not None:
             self.index = array.index
             self.sep = bytes([array.node.sep])
-            self.term = bytes([array.node.term])
             self.fast_split = array.node.sep not in lay.charset
             one_leaf = len(lay.slots) == 1 and lay.slots[0].kind == LEAF
             self.single_leaf = lay.slots[0].index if one_leaf else -1
@@ -719,10 +714,8 @@ class _Body:
 
     def split(self, region: bytes, values: list[list[bytes]],
               arities: list[list[int]]) -> None:
-        """Append one matched instance of this array body's array."""
-        # region includes the terminator byte unless cut short at EOF.
-        if region.endswith(self.term):
-            region = region[:-1]
+        """Append one matched instance of this array body's array, given
+        without its terminator."""
         parts = region.split(self.sep) if self.fast_split else self._instances(region)
         arities[self.index].append(len(parts))
         if self.single_leaf >= 0:

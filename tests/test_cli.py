@@ -79,6 +79,17 @@ def test_extract_with_plan_file(csv_log, tmp_path, capsys):
     assert not (out / "records.ndjson").exists()
 
 
+def test_extract_plan_template_without_final_newline_rejected(tmp_path, capsys):
+    # a record of F,F ends before its line's newline, which would be lost
+    log = tmp_path / "in.log"
+    log.write_bytes(b"a,b;rest\nc,d;more\n")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"status": "ok", "rounds": [{"template": "F,F"}]}))
+    code = main(["extract", str(log), "--plan", str(plan), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "newline" in capsys.readouterr().err
+
+
 def test_extract_requires_plan_or_auto(csv_log, capsys):
     assert main(["extract", str(csv_log)]) == 2
 

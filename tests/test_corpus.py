@@ -14,21 +14,21 @@ def write(tmp_path, data: bytes):
 
 def test_load_two_lines(tmp_path):
     c = load(write(tmp_path, b"a\nb\n"))
-    assert c.line_starts == [0, 2]
+    assert c.offsets[:-1].tolist() == [0, 2]
     assert c.total_len == 4
 
 
 def test_load_normalizes_crlf(tmp_path):
     c = load(write(tmp_path, b"a\r\nb"))
     assert c.data == b"a\nb"
-    assert c.line_starts == [0, 2]
+    assert c.offsets[:-1].tolist() == [0, 2]
     assert c.total_len == 3
 
 
 def test_load_keeps_lone_cr(tmp_path):
     c = load(write(tmp_path, b"a\rb\n"))
     assert c.data == b"a\rb\n"
-    assert c.line_starts == [0]
+    assert c.offsets[:-1].tolist() == [0]
 
 
 def test_load_empty_file_rejected(tmp_path):
@@ -71,7 +71,7 @@ def test_line_index_reconstructs_input(lines, trailing_newline):
     c = corpus_from_bytes(data)
     rebuilt = b"".join(c.data[c.offsets[i]:c.offsets[i + 1]] for i in range(c.n_lines))
     assert rebuilt == normalized
-    starts = c.line_starts
+    starts = c.offsets[:-1].tolist()
     assert starts[0] == 0
     assert all(a < b for a, b in zip(starts, starts[1:]))
     for s in starts[1:]:

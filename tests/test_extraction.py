@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import ArraySpec, FieldSpec, generate, make_spec, two_type_spec
-from logstruct.corpus import corpus_from_bytes
+from logstruct.corpus import TextView, corpus_from_bytes
 from logstruct.extraction import (
     OutputError,
     build_schema,
@@ -15,7 +15,7 @@ from logstruct.extraction import (
     write_output,
 )
 from logstruct.pipeline import ExtractionPlan, RoundInfo, discover
-from logstruct.scoring import ScoredTemplate
+from logstruct.scoring import ScoredTemplate, parse_with_template
 from logstruct.templates import canonical_string, parse_canonical
 
 
@@ -93,10 +93,34 @@ def test_conservation_with_arrays_and_eof_without_newline():
         [(b"[F] (F,)*F;\n", [FieldSpec("str"), FieldSpec("int", 0, 9999)],
           [ArraySpec(1, 5)], 1.0)],
         noise_fraction=0.2, record_count=50, seed=13))
-    data = res.data[:-1]  # strip the final newline
-    corpus = corpus_from_bytes(data)
-    out = extract_all(corpus, plan_of(b"[F] (F,)*F;\n"))
-    assert reconstruct(out) == data
+    # the last record's array body ends with its terminator byte
+    body_ends_in_term = b"1\n,2\n\nnoise\n3\n\n4\n,5\n\n"
+    for template, data in [(b"[F] (F,)*F;\n", res.data),
+                           (b"(F\n,)*F\n\n", body_ends_in_term)]:
+        data = data[:-1]  # strip the final newline
+        corpus = corpus_from_bytes(data)
+        out = extract_all(corpus, plan_of(template))
+        assert reconstruct(out) == data
+
+
+def test_score_parses_the_records_extraction_emits():
+    # A template's score counts exactly the records and noise that
+    # extraction with that template alone emits.
+    two = generate(two_type_spec(seed=4)).data
+    arrays = generate(make_spec(
+        [(b'F,"(F,)*F",F\n', [FieldSpec("str"), FieldSpec("int", 0, 9999),
+                               FieldSpec("str")], [ArraySpec(1, 5)], 1.0)],
+        noise_fraction=0.2, record_count=80, seed=8)).data
+    cases = [(b"<<F>>\n==F.F.F.F\n", two), (b"[F] F -> F\n", two),
+             (b'F,"(F,)*F",F\n', arrays), (b'F,"(F,)*F",F\n', arrays[:-1]),
+             (b"<<F>>\n==F.F.F.F\n", two[:-1])]
+    for template, data in cases:
+        out = extract_all(corpus_from_bytes(data), plan_of(template))
+        parse = parse_with_template(TextView.from_bytes(data), parse_canonical(template))
+        assert out.records, template
+        assert parse.record_line_spans == \
+            [(m.start_line, m.end_line) for m in out.records], template
+        assert parse.noise_bytes == sum(len(line) for _, line in out.noise), template
 
 
 def _unreachable_after(fn):

@@ -89,6 +89,10 @@ class TestShifting:
         assert canonical_string(shift_structure(correct, tv(data))) == \
             canonical_string(correct)
 
+    def test_no_rotation_matching_keeps_input(self):
+        node = parse_canonical(b"<F>\n=F\n-F-\n")
+        assert shift_structure(node, tv(b"plain\ntext\n" * 20)) is node
+
     def test_tie_breaks_by_canonical(self):
         # both rotations first match at line 0 of their own phase; with this
         # corpus the two variants first match at the same line index

@@ -236,6 +236,11 @@ class TestCompiledMatcher:
         assert arities == [[2], [2, 3]]
         assert render_record(ct.template, values, arities) == buf
 
+    def test_array_body_ending_in_terminator_byte_cut_at_eof(self):
+        # the body's own final newline is not the array's terminator
+        ct = compile_template(parse_canonical(b"(F\n,)*F\n\n"))
+        assert ct.match_at(b"a\n,b\n", 0, 5) == (5, [[b"a", b"b"]], [[2]])
+
     def test_slow_path_separator_inside_body(self):
         # body literal contains the outer separator byte
         ct = compile_template(parse_canonical(b"(F,F;)*F,F.\n"))
