@@ -48,7 +48,9 @@ def _add_discovery_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-bytes", type=int, default=8 << 20)
     p.add_argument("--chunk-bytes", type=int, default=1 << 20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; discovery runs in one "
+                        "thread and the value never changes results")
 
 
 def _pipeline_config(args) -> PipelineConfig:

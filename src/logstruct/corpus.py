@@ -78,10 +78,6 @@ class SampleView:
     text: TextView
 
     @property
-    def concatenated(self) -> bytes:
-        return self.text.data
-
-    @property
     def sampled_len(self) -> int:
         return len(self.text.data)
 
@@ -94,28 +90,16 @@ def corpus_from_bytes(data: bytes) -> Corpus:
     return Corpus(data, _line_offsets(data))
 
 
-def load(path, budget: int | None = None) -> Corpus:
-    """Load and index a log file; CRLF pairs are normalized to LF.
-
-    ``budget`` optionally caps the bytes kept in memory; the cut falls on the
-    last whole line within the budget.
-    """
+def load(path) -> Corpus:
+    """Load and index a log file; CRLF pairs are normalized to LF."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    data = raw.replace(b"\r\n", b"\n")
-    if not data:
+    if not raw:
         raise CorpusError(f"empty corpus: {path}")
-    if budget is not None and len(data) > budget:
-        cut = data.rfind(b"\n", 0, budget + 1)
-        if cut > 0:
-            data = data[: cut + 1]
-        else:
-            end = data.find(b"\n")
-            data = data if end < 0 else data[: end + 1]
-    return Corpus(data, _line_offsets(data))
+    return corpus_from_bytes(raw)
 
 
 def sample(corpus: Corpus, budget: int, chunk_size: int, seed: int = 0) -> SampleView:

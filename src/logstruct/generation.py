@@ -4,7 +4,8 @@ Every pair of line boundaries at most ``max_span_lines`` apart is treated as
 a potential record; its record template is extracted under the active
 formatting charset, reduced to a minimal structure template, and accumulated
 into a hash table keyed by canonical string.  Bins below the coverage
-threshold are discarded.
+threshold are discarded.  Candidates stay canonical strings: no template
+tree is built here, only for the few that pruning keeps.
 
 The scan is vectorized: per-line template hashes are computed with a rolling
 polynomial hash over the whole buffer, spans are grouped by window hashes,
@@ -22,10 +23,8 @@ from .templates import (
     ENUMERABLE_CANDIDATE_BYTES,
     FIELD_BYTE,
     NEWLINE,
-    Node,
     _RUN_RX,
     _SymbolPool,
-    parse_canonical,
     reduce_elements,
     reduce_line,
 )
@@ -62,29 +61,21 @@ class GenerationConfig:
 class CandidateStats:
     coverage: int
     non_field_coverage: int
-    sample_occurrences: list[tuple[int, int]] = field(default_factory=list)
-
-
-MAX_EVIDENCE_SPANS = 64
 
 
 @dataclass
 class CandidateSet:
-    """Canonical string -> (template, stats); merge keeps the best-covered
-    sighting of each template so unions are order independent."""
+    """Canonical string -> stats; merge keeps the best-covered sighting of
+    each template so unions are order independent."""
 
-    entries: dict[bytes, tuple[Node, CandidateStats]] = field(default_factory=dict)
+    entries: dict[bytes, CandidateStats] = field(default_factory=dict)
 
     def union(self, other: "CandidateSet") -> None:
-        for key, (node, stats) in other.entries.items():
+        for key, stats in other.entries.items():
             mine = self.entries.get(key)
-            if mine is None:
-                self.entries[key] = (node, stats)
-                continue
-            a = (mine[1].coverage, mine[1].non_field_coverage, mine[1].sample_occurrences)
-            b = (stats.coverage, stats.non_field_coverage, stats.sample_occurrences)
-            if b > a:
-                self.entries[key] = (node, stats)
+            if mine is None or ((stats.coverage, stats.non_field_coverage)
+                                > (mine.coverage, mine.non_field_coverage)):
+                self.entries[key] = stats
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -119,15 +110,7 @@ class _GenContext:
         )
         self.reduce_memo: dict[bytes, bytes] = {}
         self.line_memo: dict[bytes, tuple] = {}
-        self.node_memo: dict[bytes, Node] = {}
         self.symbol_pool = _SymbolPool()
-
-    def node_for(self, key: bytes) -> Node:
-        node = self.node_memo.get(key)
-        if node is None:
-            node = parse_canonical(key)
-            self.node_memo[key] = node
-        return node
 
     def reduce_span(self, tpl: bytes) -> bytes:
         """Canonical string of the span template's reduction (memoized)."""
@@ -197,8 +180,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
     hasFp = np.concatenate(([0], np.cumsum(hasF)))
 
     threshold = cfg.alpha * len(ctx.view.data) / 100.0
-    bins: dict[bytes, list] = {}
-    memo = ctx.reduce_memo
+    bins: dict[bytes, list] = {}  # key -> [(w, span start lines)]
 
     h = None
     for w in range(1, min(cfg.max_span_lines, n) + 1):
@@ -244,22 +226,14 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
             if ctx.missing_newline and first_line + w == n:
                 tpl += b"\n"
             key = ctx.reduce_span(tpl)
-            entry = bins.get(key)
-            if entry is None:
-                entry = [[], []]
-                bins[key] = entry
-            entry[0].append((w, starts_sorted[b0 : b0 + int(counts[g])].copy()))
-            if len(entry[1]) < MAX_EVIDENCE_SPANS:
-                for i in starts_sorted[b0 : b0 + min(int(counts[g]), MAX_EVIDENCE_SPANS)]:
-                    if len(entry[1]) >= MAX_EVIDENCE_SPANS:
-                        break
-                    entry[1].append((int(i), int(i) + w))
+            bins.setdefault(key, []).append(
+                (w, starts_sorted[b0 : b0 + int(counts[g])].copy()))
 
     # Coverage of a bin is the byte length of the union of all its spans:
     # every enumerated span contributes, but overlap (multi-record merges,
     # window chains) is not double counted, otherwise merged templates would
     # be ranked above the record template itself.
-    for key, (groups, spans) in bins.items():
+    for key, groups in bins.items():
         starts = np.concatenate([s for _, s in groups])
         ends = np.concatenate([s + w for w, s in groups])
         order = np.argsort(starts, kind="stable")
@@ -277,7 +251,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
             cov += 1
             nfc += 1
         if cov >= threshold:
-            out.entries[key] = (ctx.node_for(key), CandidateStats(cov, nfc, spans))
+            out.entries[key] = CandidateStats(cov, nfc)
     return out
 
 
@@ -327,7 +301,7 @@ def greedy_search(view: TextView, cfg: GenerationConfig | None = None) -> Search
             count += 1
             merged.union(cs)
             g = -1
-            for _, stats in cs.entries.values():
+            for stats in cs.entries.values():
                 g = max(g, stats.coverage * stats.non_field_coverage)
             if g > best_g:
                 best_g = g

@@ -9,7 +9,6 @@ round text, so unstructured input yields an empty plan.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import Corpus, TextView, sample
@@ -43,6 +42,8 @@ class PipelineConfig:
     pruning: PruningConfig = field(default_factory=PruningConfig)
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     max_record_types: int = 8
+    # Accepted for compatibility: discovery runs in one thread, and the value
+    # never changes results.
     threads: int = 1
 
 
@@ -126,11 +127,8 @@ def discover(corpus: Corpus, cfg: PipelineConfig | None = None) -> ExtractionPla
                 cache[key] = hit
             return hit
 
-        nodes = [node for node, _ in ranked]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(scorer, nodes))
-        refined = [refine(scorer(node), text, L, scorer) for node in nodes]
+        refined = [refine(scorer(parse_canonical(key)), text, L, scorer)
+                   for key, _ in ranked]
         by_key: dict[bytes, ScoredTemplate] = {}
         for s in refined:
             old = by_key.get(s.canonical)
@@ -205,10 +203,6 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
     for r in doc.get("rounds", []):
         node = parse_canonical(r["template"].encode("latin-1"))
         compile_template(node)  # admission check
-        if field_count(node) == 0:
-            raise ValueError("template without fields in plan")
-        if not canonical_string(node).endswith(b"\n"):
-            raise ValueError("plan templates must end with a newline")
         st = ScoredTemplate(
             template=node,
             canonical=canonical_string(node),

@@ -1,11 +1,14 @@
-"""Candidate pruning by the coverage * non-field-coverage product."""
+"""Candidate pruning by the coverage * non-field-coverage product.
+
+Candidates arrive as canonical strings; pruning ranks them without building
+a template tree, so only the survivors are ever parsed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .generation import CandidateSet, CandidateStats
-from .templates import Node
 
 
 @dataclass(frozen=True)
@@ -22,11 +25,12 @@ def assimilation_score(stats: CandidateStats) -> int:
 
 
 def prune(cands: CandidateSet, cfg: PruningConfig | None = None
-          ) -> list[tuple[Node, CandidateStats]]:
-    """Best min(M, K) candidates, score descending, ties by canonical string."""
+          ) -> list[tuple[bytes, CandidateStats]]:
+    """Best min(M, K) ``(canonical, stats)`` pairs, score descending, ties by
+    canonical string."""
     cfg = cfg or PruningConfig()
     ranked = sorted(
         cands.entries.items(),
-        key=lambda kv: (-assimilation_score(kv[1][1]), kv[0]),
+        key=lambda kv: (-assimilation_score(kv[1]), kv[0]),
     )
-    return [(node, stats) for _, (node, stats) in ranked[: cfg.top_m]]
+    return ranked[: cfg.top_m]

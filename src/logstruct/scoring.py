@@ -41,10 +41,6 @@ _INT_RE = re.compile(rb"[+-]?[0-9]+\Z")
 _REAL_RE = re.compile(rb"[+-]?[0-9]+\.[0-9]+\Z")
 
 
-class TemplateAdmissionError(ValueError):
-    """Raised when a template cannot be parsed deterministically."""
-
-
 def ceil_log2(x: int) -> int:
     if x < 1:
         raise ValueError("ceil_log2 requires x >= 1")

@@ -176,11 +176,6 @@ def field_count(node: Node) -> int:
     return layout(node).n_leaves
 
 
-def template_charset(node: Node) -> frozenset[int]:
-    """All formatting bytes used by the template (literals, seps, terms)."""
-    return layout(node).charset
-
-
 # ---------------------------------------------------------------------------
 # Record template extraction
 
@@ -255,15 +250,6 @@ def _write_canonical(n: Node, out: bytearray) -> None:
     else:
         for c in n.children:
             _write_canonical(c, out)
-
-
-def template_key(node: Node) -> int:
-    """64-bit FNV-1a hash of the canonical string."""
-    h = 0xCBF29CE484222325
-    for b in canonical_string(node):
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
 
 
 class _CanonicalParser:
@@ -622,14 +608,20 @@ class CompiledTemplate:
 
     Field values may contain any byte outside the template's own formatting
     charset.  The final newline of the template is optional at end of input.
+
+    This is where templates are admitted: one without a field, or without a
+    final newline (its records would end before their line's newline, which
+    then belongs to neither a record nor the noise), raises TemplateError.
     """
 
     def __init__(self, st: Node):
         self.template = st
         self.canonical = canonical_string(st)
         lay = layout(st)
-        # Every block is newline-terminated; templates built by the pipeline
-        # always end with one.
+        if lay.n_leaves == 0:
+            raise TemplateError("template without fields")
+        if not self.canonical.endswith(b"\n"):
+            raise TemplateError("template must end with a newline")
         self.charset = lay.charset | {NEWLINE}
         self.n_fields = lay.n_leaves
         self.arrays = list(lay.arrays)

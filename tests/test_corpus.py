@@ -42,12 +42,6 @@ def test_load_missing_file_names_path(tmp_path):
         load(missing)
 
 
-def test_load_budget_cuts_on_line_boundary(tmp_path):
-    p = write(tmp_path, b"aaaa\nbbbb\ncccc\n")
-    c = load(p, budget=11)
-    assert c.data == b"aaaa\nbbbb\n"
-
-
 def test_load_indexes_large_file_without_line_copies(tmp_path):
     # one contiguous buffer plus an integer index, even for multi-MB input
     data = b"".join(b"%d,payload,%d\n" % (i, i * 7) for i in range(200_000))
@@ -90,7 +84,7 @@ def test_sample_whole_corpus_when_budget_covers_it():
     c = corpus_from_bytes(b"x\n" * 500)
     v = sample(c, budget=1 << 20, chunk_size=1 << 16)
     assert v.chunks == ((0, c.total_len),)
-    assert v.concatenated == c.data
+    assert v.text.data == c.data
 
 
 def test_sample_chunk_count_and_size():

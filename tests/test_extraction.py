@@ -16,7 +16,7 @@ from logstruct.extraction import (
 )
 from logstruct.pipeline import ExtractionPlan, RoundInfo, discover
 from logstruct.scoring import ScoredTemplate, parse_with_template
-from logstruct.templates import canonical_string, parse_canonical
+from logstruct.templates import TemplateError, canonical_string, parse_canonical
 
 
 def plan_of(*templates, max_span=10):
@@ -240,3 +240,14 @@ def test_schema_one_column_per_field():
 def test_empty_plan_rejected():
     with pytest.raises(ValueError):
         extract_all(corpus_from_bytes(b"a\n"), plan_of())
+
+
+def test_plan_template_without_final_newline_rejected():
+    # a record of F,F would end before its line's newline, which would be lost
+    with pytest.raises(TemplateError, match="newline"):
+        extract_all(corpus_from_bytes(b"a,b;rest\nc,d;more\n"), plan_of(b"F,F"))
+
+
+def test_plan_template_without_field_rejected():
+    with pytest.raises(TemplateError, match="field"):
+        extract_all(corpus_from_bytes(b"--\n"), plan_of(b"--\n"))

@@ -2,13 +2,12 @@ from conftest import FieldSpec, generate, make_spec
 from logstruct.corpus import TextView
 from logstruct.generation import CandidateSet, CandidateStats, GenerationConfig, greedy_search
 from logstruct.pruning import PruningConfig, assimilation_score, prune
-from logstruct.templates import canonical_string, parse_canonical
 
 
 def cand_set(entries):
     cs = CandidateSet()
     for key, cov, nfc in entries:
-        cs.entries[key] = (parse_canonical(key), CandidateStats(cov, nfc))
+        cs.entries[key] = CandidateStats(cov, nfc)
     return cs
 
 
@@ -19,14 +18,14 @@ def test_score_is_plain_product():
 def test_zero_non_field_coverage_ranks_last():
     cs = cand_set([(b"F,F\n", 100, 0), (b"F;F\n", 50, 10)])
     ranked = prune(cs)
-    assert canonical_string(ranked[0][0]) == b"F;F\n"
+    assert ranked[0][0] == b"F;F\n"
     assert assimilation_score(ranked[1][1]) == 0
 
 
 def test_tie_broken_by_canonical_string():
     cs = cand_set([(b"F;F\n", 3, 3), (b"F,F\n", 3, 3), (b"F.F\n", 1, 5)])
     ranked = prune(cs, PruningConfig(top_m=2))
-    assert [canonical_string(n) for n, _ in ranked] == [b"F,F\n", b"F;F\n"]
+    assert [k for k, _ in ranked] == [b"F,F\n", b"F;F\n"]
 
 
 def test_m_larger_than_k_returns_all():
@@ -48,7 +47,7 @@ def test_deterministic_order():
     cs = cand_set([(b"F,F\n", 7, 2), (b"F;F\n", 2, 7), (b"F.F\n", 14, 1)])
     r1 = prune(cs)
     r2 = prune(cand_set([(b"F.F\n", 14, 1), (b"F;F\n", 2, 7), (b"F,F\n", 7, 2)]))
-    assert [canonical_string(n) for n, _ in r1] == [canonical_string(n) for n, _ in r2]
+    assert [k for k, _ in r1] == [k for k, _ in r2]
 
 
 def test_full_template_outranks_its_fragments():
@@ -67,22 +66,22 @@ def test_full_template_outranks_its_fragments():
     entries = result.candidates.entries
     full_key = b"<<F>>\n==(F:)*F\n--F--\n"
     assert full_key in entries
-    full = entries[full_key][1]
+    full = entries[full_key]
     # line-subset fragment: middle line alone
     sub = entries.get(b"==(F:)*F\n")
     if sub is not None:
-        assert full.coverage > sub[1].coverage
-        assert full.non_field_coverage > sub[1].non_field_coverage
+        assert full.coverage > sub.coverage
+        assert full.non_field_coverage > sub.non_field_coverage
     # charset-as-field variant: ':' treated as part of the field values
     weak = entries.get(b"<<F>>\n==F\n--F--\n")
     if weak is not None:
-        assert full.non_field_coverage > weak[1].non_field_coverage
+        assert full.non_field_coverage > weak.non_field_coverage
     ranked = prune(result.candidates)
-    assert canonical_string(ranked[0][0]) == full_key
+    assert ranked[0][0] == full_key
 
 
 def test_dominant_template_ranked_first():
     """Strictly highest coverage and non-field coverage implies rank one."""
     cs = cand_set([(b"[F]F\n", 100, 50), (b"F,F\n", 90, 49), (b"F;F\n", 99, 20)])
     ranked = prune(cs)
-    assert canonical_string(ranked[0][0]) == b"[F]F\n"
+    assert ranked[0][0] == b"[F]F\n"

@@ -84,6 +84,11 @@ class TestParse:
         with pytest.raises(TemplateError):
             compile_template(parse_canonical(b"(F,)*F,\n"))
 
+    def test_template_without_final_newline_rejected_at_admission(self):
+        # its records would leave each line's newline unpriced
+        with pytest.raises(TemplateError, match="newline"):
+            score(tv(b"a,b;rest\nc,d;more\n"), parse_canonical(b"F,F"))
+
 
 class TestFieldTypes:
     def test_integers(self):

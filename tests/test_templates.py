@@ -21,14 +21,13 @@ from logstruct.templates import (
     canonical_string,
     compile_template,
     extract_record_template,
+    layout,
     matches,
     parse_canonical,
     reduce_node,
     reduce_to_structure_template,
     render_record,
     struct_of,
-    template_charset,
-    template_key,
 )
 
 CSV_CHARSET = frozenset(b",\n")
@@ -157,11 +156,6 @@ class TestCanonical:
         with pytest.raises(TemplateError):
             Array(Field(), ord(","), ord(","))
 
-    def test_hash_key_is_64_bit(self):
-        k = template_key(parse_canonical(b"(F,)*F\n"))
-        assert 0 <= k < 1 << 64
-        assert k == template_key(parse_canonical(b"(F,)*F\n"))
-
 
 def template_trees(depth=2):
     lit = st.sampled_from([b",", b";", b"[", b"]", b" ", b":", b"\n", b"|"])
@@ -257,7 +251,7 @@ class TestCompiledMatcher:
 def test_compiled_matcher_agrees_with_extraction(rt):
     """Matching raw text against a template is extraction plus matching."""
     reduced = reduce_to_structure_template(rt)
-    charset = template_charset(reduced) | {ord("\n")}
+    charset = layout(reduced).charset | {ord("\n")}
     # instantiate the record template with a distinct value per field
     values_in_order = (b"x%d" % i for i in itertools.count())
     raw = re.sub(b"F", lambda _: next(values_in_order), rt)
