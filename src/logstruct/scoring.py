@@ -2,10 +2,10 @@
 types, and compute the total description length in bits (lower is better).
 
 The scan rule, shared by scoring, structure shifting and extraction
-(:func:`scan_records`): at each line start try the templates in order, each
-over at most ``max_span_lines`` lines; the first match is a record and the
-scan resumes at the first line start at or after its end, otherwise the line
-is noise and the scan moves to the next line.
+(:func:`scan_records`): a template's match at a line start is a record if it
+spans at most ``max_span_lines`` lines; a longer match is none.  The scan
+takes the lowest line's record, on a tie the template first in the plan;
+lines before it are noise.  Only at EOF may its final newline be missing.
 
 Costs per value: enumerated ceil(log2 n_value); integer
 ceil(log2 (max - min + 1)); real ceil(log2 ((max - min) * 10^exp + 1));
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .corpus import TextView
 from .templates import (
@@ -112,21 +110,39 @@ class ScoredTemplate:
     noise_bytes: int
     block_count: int
     arity_counts: list[list[int]] = field(default_factory=list)
-    record_line_spans: list[tuple[int, int]] = field(default_factory=list)
 
 
-def candidate_lines(view: TextView, compiled: CompiledTemplate) -> np.ndarray:
-    """Boolean mask of lines whose first byte could start a match."""
-    n = view.n_lines
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    first = view.np_bytes[view.offsets[:-1]]
-    kind, payload = compiled.first_pred
-    if kind == "byte":
-        return first == payload
-    mask = np.ones(256, dtype=bool)
-    mask[list(payload)] = False
-    return mask[first]
+_WINDOW = 8  # lines per search, in max_span_lines (see _next_record)
+
+
+def _next_record(rx: re.Pattern, view: TextView, i: int, max_span_lines: int):
+    """``(i, j, match)`` of the first record of ``rx`` on lines ``[i, j)``, at
+    or after line ``i``; None when there is none.
+
+    A search reads ``_WINDOW * max_span_lines`` lines and one byte, so no
+    match attempt runs past them and ``\\Z`` fires only at the end of input.
+    It settles each line whose ``max_span_lines`` lines it reads, as a line
+    has at most one match (see ``CompiledTemplate``).  A larger window costs
+    more in a run of lines that each start a too-long match; a smaller one
+    rereads more of the text where nothing matches."""
+    buf, offsets, n, L = view.data, view.offsets, view.n_lines, max_span_lines
+    while i < n:
+        pos, hi = int(offsets[i]), i + _WINDOW * L
+        m = rx.search(buf, pos, int(offsets[hi]) + 1 if hi < n else len(buf))
+        if m is not None:
+            start, end = m.span()
+            i += buf.count(b"\n", pos, start)
+        if m is None or (hi < n and i + L > hi):
+            if hi >= n:
+                return None
+            i = hi - L + 1  # the lines before it hold no record
+            continue
+        # the last byte is the record's final newline, or it ends the input
+        j = i + 1 + buf.count(b"\n", start, end - 1)
+        if j - i <= L:
+            return i, j, m
+        i += 1
+    return None
 
 
 def scan_records(view: TextView, compiled: list[CompiledTemplate],
@@ -134,26 +150,20 @@ def scan_records(view: TextView, compiled: list[CompiledTemplate],
     """Yield ``(k, i, j, end, values, arities)`` for each record of the scan
     (see the module docstring): template ``k`` in ``compiled`` matched lines
     ``[i, j)`` up to byte ``end``.  The lines between records are noise."""
-    buf = view.data
-    offsets = view.offsets
-    n = view.n_lines
-    tries = [(k, c.match_at, candidate_lines(view, c))
-             for k, c in enumerate(compiled)]
-    i = 0
-    while i < n:
-        for k, match_at, cand in tries:
-            if cand[i]:
-                endpos = int(offsets[min(i + max_span_lines, n)])
-                hit = match_at(buf, int(offsets[i]), endpos)
-                if hit is not None:
-                    break
-        else:
-            i += 1
-            continue
-        end, values, arities = hit
-        j = int(np.searchsorted(offsets, end, side="left"))
-        yield k, i, j, end, values, arities
-        i = j
+    if max_span_lines < 1:  # every match spans a line at least
+        return
+    # each template's next record, searched for again once the scan passes it
+    hits = [_next_record(c.rx, view, 0, max_span_lines) for c in compiled]
+    while True:
+        live = [t for t, hit in enumerate(hits) if hit is not None]
+        if not live:
+            return
+        k = min(live, key=lambda t: hits[t][0])  # on a tie the first
+        i, j, m = hits[k]
+        yield (k, i, j, m.end(), *compiled[k].record(m))
+        for t, hit in enumerate(hits):
+            if hit is not None and hit[0] < j:
+                hits[t] = _next_record(compiled[t].rx, view, j, max_span_lines)
 
 
 def parse_with_template(view: TextView, st: Node | CompiledTemplate,
@@ -250,7 +260,6 @@ def score(view: TextView, st: Node | CompiledTemplate,
         noise_bytes=parse.noise_bytes,
         block_count=parse.block_count,
         arity_counts=parse.arity_counts,
-        record_line_spans=parse.record_line_spans,
     )
 
 

@@ -234,7 +234,6 @@ def generate(spec: SynthSpec) -> SynthResult:
     line_labels: list[tuple] = []
     records: list[tuple[int, int, int]] = []
     metas: list[RecordMeta] = []
-    denormalized: list[dict] = []
     noise_entries: list[tuple[int, bytes]] = []
     offset = 0
     line_no = 0
@@ -243,10 +242,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         block_bytes = b"".join(lines[ls:le])
         if item[0] == "record":
             t = item[1]
-            rid, nested = emit_record(schemas[t], tables_per_type[t],
-                                      item[3], item[4])
-            nested["_span"] = [line_no, line_no + (le - ls)]
-            denormalized.append(nested)
+            rid, _ = emit_record(schemas[t], tables_per_type[t], item[3], item[4])
             metas.append(RecordMeta(t, rid, line_no, line_no + (le - ls),
                                     offset, offset + len(block_bytes)))
             records.append((t, line_no, line_no + (le - ls)))
@@ -260,7 +256,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         line_no += le - ls
     data = b"".join(lines)
     truth = RelationalOutput(
-        [t for group in tables_per_type for t in group], fks, denormalized,
+        [t for group in tables_per_type for t in group], fks, [],
         noise_entries, metas, schemas, source_len=len(data))
     return SynthResult(data, line_labels, records, truth)
 

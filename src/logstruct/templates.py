@@ -607,7 +607,8 @@ class CompiledTemplate:
     """Deterministic matcher for one structure template over raw bytes.
 
     Field values may contain any byte outside the template's own formatting
-    charset.  The final newline of the template is optional at end of input.
+    charset, so a line start has at most one match of ``rx`` (its final
+    newline is optional at the end of the text read; see ``scan_records``).
 
     This is where templates are admitted: one without a field, or without a
     final newline (its records would end before their line's newline, which
@@ -625,27 +626,20 @@ class CompiledTemplate:
         self.charset = lay.charset | {NEWLINE}
         self.n_fields = lay.n_leaves
         self.arrays = list(lay.arrays)
-        # The top level is one repetition of a body that may end at EOF.
-        self._top = _Body(lay, _regex_field(self.charset), eof_ok=True)
-        self._rx = self._top.rx
-        first = lay.slots[0]
-        while first.kind == ARRAY:
-            first = first.body.slots[0]
-        # (kind, payload): 'byte' -> exact first byte, 'field' -> non-charset.
-        if first.kind == LITERAL:
-            self.first_pred = ("byte", first.node[0])
-        else:
-            self.first_pred = ("field", self.charset)
+        self._top = _Body(lay, _regex_field(self.charset), top=True)
+        self.rx = self._top.rx
 
     def match_at(self, buf: bytes, pos: int, endpos: int):
-        """Match at pos; returns (end, values_per_leaf, arities_per_array)."""
-        m = self._rx.match(buf, pos, endpos)
-        if m is None:
-            return None
+        """(end, values_per_leaf, arities_per_array) of a match at pos."""
+        m = self.rx.match(buf, pos, endpos)
+        return None if m is None else (m.end(), *self.record(m))
+
+    def record(self, m: re.Match) -> tuple[list[list[bytes]], list[list[int]]]:
+        """The values per leaf and arities per array of one match of ``rx``."""
         values: list[list[bytes]] = [[] for _ in range(self.n_fields)]
         arities: list[list[int]] = [[] for _ in range(len(self.arrays))]
         self._top.fill(m, values, arities)
-        return m.end(), values, arities
+        return values, arities
 
 
 class _Body:
@@ -655,14 +649,14 @@ class _Body:
     ``rx`` captures one group per leaf and per array slot of the body, in
     slot order (an array's group holds its repetitions, not its terminator);
     ``plain`` is the same pattern without groups, for use inside an enclosing
-    array's pattern.  With ``eof_ok`` the body's last literal or array
-    terminator may end at EOF instead of at its newline.
+    array's pattern.  The ``top`` body, the whole template, anchors ``rx`` at
+    a line start, and its last newline may be missing at EOF.
     """
 
     __slots__ = ("plain", "rx", "groups", "index", "sep", "fast_split",
                  "single_leaf")
 
-    def __init__(self, lay: Layout, field_re: bytes, eof_ok: bool = False,
+    def __init__(self, lay: Layout, field_re: bytes, top: bool = False,
                  array: Slot | None = None):
         captured: list[bytes] = []
         plain: list[bytes] = []
@@ -674,19 +668,19 @@ class _Body:
                 plain.append(b"(?:" + field_re + b")")
                 groups.append((slot.index, None))
             elif slot.kind == LITERAL:
-                rx = _literal_regex(slot.node, eof_ok and i == last)
+                rx = _literal_regex(slot.node, top and i == last)
                 captured.append(rx)
                 plain.append(rx)
             else:
                 sub = _Body(slot.body, field_re, array=slot)
                 a = slot.node
                 rx = b"(?:" + sub.plain + re.escape(bytes([a.sep])) + b")*" + sub.plain
-                term = _literal_regex(bytes([a.term]), eof_ok and i == last)
+                term = _literal_regex(bytes([a.term]), top and i == last)
                 captured.append(b"(" + rx + b")" + term)
                 plain.append(rx + term)
                 groups.append((-1, sub))
         self.plain = b"".join(plain)
-        self.rx = re.compile(b"".join(captured))
+        self.rx = re.compile((b"(?m)^" if top else b"") + b"".join(captured))
         self.groups = tuple(groups)
         if array is not None:
             self.index = array.index

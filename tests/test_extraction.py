@@ -1,6 +1,8 @@
 import csv
 import gc
 import json
+import random
+import time
 
 import pytest
 
@@ -16,7 +18,12 @@ from logstruct.extraction import (
 )
 from logstruct.pipeline import ExtractionPlan, RoundInfo, discover
 from logstruct.scoring import ScoredTemplate, parse_with_template
-from logstruct.templates import TemplateError, canonical_string, parse_canonical
+from logstruct.templates import (
+    TemplateError,
+    canonical_string,
+    compile_template,
+    parse_canonical,
+)
 
 
 def plan_of(*templates, max_span=10):
@@ -103,6 +110,19 @@ def test_conservation_with_arrays_and_eof_without_newline():
         assert reconstruct(out) == data
 
 
+# Records longer than the span limit: a scan that took the limit for the
+# end of input would cut a record there (lines (0, 1), (2, 3) and (4, 5) at
+# a limit of one line; a 10-line record (1, 11) of the 13-line array).
+BLANK_SEPARATED = b"<a>\n\n<b>\nnoise\n<c>\n\n"
+LONG_ARRAY = b"#x\n1\n" + b"".join(b",%d\n" % k for k in range(2, 13)) + b"\n"
+# A newline-separated array: only the last ten lines before ";" fit a limit
+# of ten lines.
+CONFIG_DUMP = b"".join(b"k%d=%d\n" % (k, k) for k in range(30)) + b"z=0;\n#\na=1\nb=2;\n"
+# The first byte of line 16 completes "a=\n" + F at a cut after it; no line
+# holds a record.
+CUT_AFTER_ONE_BYTE = b"x\n" * 15 + b"a=\nb=c\n"
+
+
 def test_score_parses_the_records_extraction_emits():
     # A template's score counts exactly the records and noise that
     # extraction with that template alone emits.
@@ -111,16 +131,86 @@ def test_score_parses_the_records_extraction_emits():
         [(b'F,"(F,)*F",F\n', [FieldSpec("str"), FieldSpec("int", 0, 9999),
                                FieldSpec("str")], [ArraySpec(1, 5)], 1.0)],
         noise_fraction=0.2, record_count=80, seed=8)).data
-    cases = [(b"<<F>>\n==F.F.F.F\n", two), (b"[F] F -> F\n", two),
-             (b'F,"(F,)*F",F\n', arrays), (b'F,"(F,)*F",F\n', arrays[:-1]),
-             (b"<<F>>\n==F.F.F.F\n", two[:-1])]
-    for template, data in cases:
-        out = extract_all(corpus_from_bytes(data), plan_of(template))
-        parse = parse_with_template(TextView.from_bytes(data), parse_canonical(template))
-        assert out.records, template
-        assert parse.record_line_spans == \
-            [(m.start_line, m.end_line) for m in out.records], template
+    # (template, input, span limit, the record line spans or None for "some")
+    cases = [(b"<<F>>\n==F.F.F.F\n", two, 10, None), (b"[F] F -> F\n", two, 10, None),
+             (b'F,"(F,)*F",F\n', arrays, 10, None),
+             (b'F,"(F,)*F",F\n', arrays[:-1], 10, None),
+             (b"<<F>>\n==F.F.F.F\n", two[:-1], 10, None),
+             (b"<F>\n\n", BLANK_SEPARATED, 1, []),
+             (b"<F>\n\n", BLANK_SEPARATED, 2, [(0, 2), (4, 6)]),
+             (b"(F\n,)*F\n\n", LONG_ARRAY, 10, []),
+             (b"(F\n,)*F\n\n", LONG_ARRAY + b"1\n,2\n\n", 10, [(14, 17)]),
+             (b"(F=F\n)*F=F;\n", CONFIG_DUMP, 10, [(21, 31), (32, 34)]),
+             (b"F=\nF\n", CUT_AFTER_ONE_BYTE, 2, []),
+             # a limit below one line leaves every line noise, the last too
+             (b"F,F\n", b"a,b\nc,d", 0, [])]
+    for template, data, max_span, expected in cases:
+        out = extract_all(corpus_from_bytes(data), plan_of(template, max_span=max_span))
+        view = TextView.from_bytes(data)
+        parse = parse_with_template(view, parse_canonical(template), max_span)
+        spans = [(m.start_line, m.end_line) for m in out.records]
+        if expected is None:
+            assert out.records, template
+        else:
+            assert spans == expected, template
+        assert parse.record_line_spans == spans, template
         assert parse.noise_bytes == sum(len(line) for _, line in out.noise), template
+        assert len(out.noise) == view.n_lines - sum(j - i for i, j in spans), template
+        assert reconstruct(out) == data, template
+
+
+def test_scan_takes_the_lowest_line_then_plan_order():
+    # Both templates match "a,b": the one first in the plan wins.
+    for plan in ([b"F\n", b"F,F\n"], [b"F,F\n", b"F\n"]):
+        out = extract_all(corpus_from_bytes(b"a,b\n"), plan_of(*plan))
+        assert [(m.type_index, m.start_line, m.end_line) for m in out.records] == \
+            [(0, 0, 1)]
+        assert out.table("t0").rows and not out.table("t1").rows
+    # Too long for the span limit, the first template matches nowhere.
+    out = extract_all(corpus_from_bytes(b"a\nb\nc\n"),
+                      plan_of(b"F\nF\nF\n", b"F\n", max_span=2))
+    assert [(m.type_index, m.start_line, m.end_line) for m in out.records] == \
+        [(1, 0, 1), (1, 1, 2), (1, 2, 3)]
+
+
+def test_scan_finds_the_records_of_a_line_by_line_match():
+    # The scan agrees with matching at every line start in turn, over random
+    # text whose runs of matching lines outgrow the search windows.
+    rng = random.Random(5)
+    lines = [b"a=1", b"b=2;", b"c", b"", b",d", b"e=5;", b"f="]
+    for trial in range(300):
+        template = rng.choice([b"(F=F\n)*F=F;\n", b"F=F\n\n", b"(F\n,)*F\n\n", b"F;\n",
+                               b"F=\nF\n"])
+        max_span = rng.choice([1, 2, 3, 5])
+        data = b"".join(rng.choice(lines) + b"\n" for _ in range(rng.randrange(60)))
+        if data and rng.random() < 0.3:
+            data = data[:-1]
+        view = TextView.from_bytes(data)
+        rx = compile_template(parse_canonical(template)).rx
+        expected, i = [], 0
+        while i < view.n_lines:
+            m = rx.match(data, int(view.offsets[i]))
+            j = m and i + 1 + data.count(b"\n", m.start(), m.end() - 1)
+            if m and j - i <= max_span:
+                expected.append((i, j))
+                i = j
+            else:
+                i += 1
+        parse = parse_with_template(view, parse_canonical(template), max_span)
+        assert parse.record_line_spans == expected, (trial, template, max_span, data)
+
+
+def test_scan_work_per_line_is_bounded_by_the_span_limit():
+    # Every line of a long run starts a match of the array that runs to the
+    # run's ";"; a scan that let each attempt run to there would take time
+    # quadratic in the run's length (tens of seconds here).
+    rows = 20000
+    data = b"".join(b"k%d=%d\n" % (k, k) for k in range(rows)) + b"z=0;\n"
+    started = time.perf_counter()
+    parse = parse_with_template(TextView.from_bytes(data),
+                                parse_canonical(b"(F=F\n)*F=F;\n"), 10)
+    assert time.perf_counter() - started < 5.0
+    assert parse.record_line_spans == [(rows - 9, rows + 1)]
 
 
 def _unreachable_after(fn):

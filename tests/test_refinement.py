@@ -3,7 +3,7 @@ import random
 from conftest import ArraySpec, FieldSpec, generate, make_spec
 from logstruct.corpus import TextView
 from logstruct.refinement import refine, rotations, shift_structure, unfold_arrays
-from logstruct.scoring import score
+from logstruct.scoring import parse_with_template, score
 from logstruct.templates import canonical_string, parse_canonical
 
 
@@ -61,8 +61,8 @@ class TestUnfolding:
         view = tv(data)
         node = parse_canonical(b"(F,)*F\n")
         out = unfold_arrays(node, view)
-        before = set(score(view, node).record_line_spans)
-        after = set(score(view, out).record_line_spans)
+        before = set(parse_with_template(view, node).record_line_spans)
+        after = set(parse_with_template(view, out).record_line_spans)
         assert after <= before
 
 

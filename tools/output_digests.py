@@ -15,11 +15,11 @@ outputs of an extraction are every file ``write_output`` writes and the
 To check that a change keeps every output, run the tool over the same
 input directories once with the old source and once with the new, and
 ``diff`` the two listings.  ``--write-synthetic DIR`` writes a few small
-corpora (arrays, nested arrays, a multi-line array record, two types, a log
-without its final newline) into ``DIR/<name>/`` for discovery and again,
-with a ``plan.json`` of the planted templates, into ``DIR/<name>-planted/``.
-Write them once, with either source, and pass their directories to both
-runs.
+corpora (arrays, nested arrays, a multi-line array record, an array with a
+newline separator, two types, a log without its final newline) into
+``DIR/<name>/`` for discovery and again, with a ``plan.json`` of the
+planted templates, into ``DIR/<name>-planted/``.  Write them once, with
+either source, and pass their directories to both runs.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ SYNTHETIC = {
     "nested_arrays": ([("((F;)*F:F,)*(F;)*F:F.\n", [_INT, _STR], 2, 1.0)],
                       0.1, 120, 5, False),
     "multiline_array": ([("#F\n(F\n,)*F\n\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 6, False),
+    "config_dump": ([("(F=F\n)*F=F;\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 4, False),
     "no_final_newline": ([('F,"(F,)*F",F\n', [_STR, _INT, _STR], 1, 0.6),
                           ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 9, True),
 }
