@@ -3,8 +3,9 @@
 Unfolding rewrites an array node as a fixed-arity struct (full) or as a
 fixed prefix plus an array suffix (partial), keeping a rewrite only when the
 description length strictly improves.  Shifting picks, among all cyclic
-line rotations of a multi-line template, the variant whose first successful
-match occurs earliest in the text.
+line rotations of a multi-line template, the variant whose first record
+starts earliest in the text, on a tie the lower canonical string; a rotation
+is searched only up to the best first line found so far.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter
 from typing import Callable
 
 from .corpus import TextView
-from .scoring import ScoredTemplate, scan_records, score
+from .scoring import ScoredTemplate, _next_record, score
 from .templates import (
     ARRAY,
     NEWLINE,
@@ -179,17 +180,21 @@ def rotations(st: Node) -> list[Node]:
 
 
 def shift_structure(st: Node, view: TextView, max_span_lines: int = 10) -> Node:
-    """Pick the rotation with the earliest first match; ties by canonical."""
+    """Pick the rotation with the earliest first record; ties by canonical.
+
+    The identity is searched first; each further rotation only up to the
+    best first line found so far, as a later record cannot win."""
     variants = rotations(st)
-    if len(variants) == 1:
+    if len(variants) == 1 or max_span_lines < 1:
         return st
     best = None
     for v in variants:
         compiled = compile_template(v)
-        record = next(scan_records(view, [compiled], max_span_lines), None)
-        if record is None:
+        hit = _next_record(compiled.rx, view, 0, max_span_lines,
+                           None if best is None else best[0][0])
+        if hit is None:
             continue
-        key = (record[1], compiled.canonical)  # the record's first line
+        key = (hit[0], compiled.canonical)  # the record's first line
         if best is None or key < best[0]:
             best = (key, v)
     return st if best is None else best[1]

@@ -115,24 +115,32 @@ class ScoredTemplate:
 _WINDOW = 8  # lines per search, in max_span_lines (see _next_record)
 
 
-def _next_record(rx: re.Pattern, view: TextView, i: int, max_span_lines: int):
+def _next_record(rx: re.Pattern, view: TextView, i: int, max_span_lines: int,
+                 last: int | None = None):
     """``(i, j, match)`` of the first record of ``rx`` on lines ``[i, j)``, at
-    or after line ``i``; None when there is none.
+    or after line ``i`` and, given ``last``, at or before line ``last``; None
+    when there is none.
 
     A search reads ``_WINDOW * max_span_lines`` lines and one byte, so no
     match attempt runs past them and ``\\Z`` fires only at the end of input.
     It settles each line whose ``max_span_lines`` lines it reads, as a line
     has at most one match (see ``CompiledTemplate``).  A larger window costs
     more in a run of lines that each start a too-long match; a smaller one
-    rereads more of the text where nothing matches."""
+    rereads more of the text where nothing matches.  With ``last``, a window
+    also ends at line ``last + max_span_lines``, before which a record on
+    line ``last`` ends."""
     buf, offsets, n, L = view.data, view.offsets, view.n_lines, max_span_lines
-    while i < n:
+    stop = n if last is None else min(n, last + 1)  # a record starts before it
+    while i < stop:
         pos, hi = int(offsets[i]), i + _WINDOW * L
+        if hi >= stop:
+            hi = min(hi, stop - 1 + L)
         m = rx.search(buf, pos, int(offsets[hi]) + 1 if hi < n else len(buf))
         if m is not None:
             start, end = m.span()
             i += buf.count(b"\n", pos, start)
-        if m is None or (hi < n and i + L > hi):
+        # a match after line hi - L may run past the window; at EOF, after last
+        if m is None or (i + L > hi if hi < n else i >= stop):
             if hi >= n:
                 return None
             i = hi - L + 1  # the lines before it hold no record

@@ -21,6 +21,19 @@ def make_spec(entries, noise_fraction=0.0, record_count=100, seed=0):
                      record_count=record_count, seed=seed)
 
 
+class CountingPattern:
+    """Wraps a compiled pattern, counting its ``search`` calls; more than
+    ``limit`` of them fail the test (a search that would not end)."""
+
+    def __init__(self, rx, limit=None):
+        self.rx, self.limit, self.searches = rx, limit, 0
+
+    def search(self, *args):
+        self.searches += 1
+        assert self.limit is None or self.searches <= self.limit, "too many searches"
+        return self.rx.search(*args)
+
+
 @pytest.fixture
 def bracket_log_corpus():
     """Lines shaped like '[hh:mm:ss] word(n,n)' with all values varying."""

@@ -6,7 +6,14 @@ import time
 
 import pytest
 
-from conftest import ArraySpec, FieldSpec, generate, make_spec, two_type_spec
+from conftest import (
+    ArraySpec,
+    CountingPattern,
+    FieldSpec,
+    generate,
+    make_spec,
+    two_type_spec,
+)
 from logstruct.corpus import TextView, corpus_from_bytes
 from logstruct.extraction import (
     OutputError,
@@ -17,7 +24,7 @@ from logstruct.extraction import (
     write_output,
 )
 from logstruct.pipeline import ExtractionPlan, RoundInfo, discover
-from logstruct.scoring import ScoredTemplate, parse_with_template
+from logstruct.scoring import ScoredTemplate, _next_record, parse_with_template
 from logstruct.templates import (
     TemplateError,
     canonical_string,
@@ -198,6 +205,32 @@ def test_scan_finds_the_records_of_a_line_by_line_match():
                 i += 1
         parse = parse_with_template(view, parse_canonical(template), max_span)
         assert parse.record_line_spans == expected, (trial, template, max_span, data)
+
+
+def test_bounded_search_is_the_unbounded_one_cut_at_the_bound():
+    # With a last line, the search returns the unbounded search's first
+    # record when it starts on or before that line, and None otherwise.
+    # Each search call starts on a new line, so a text of n lines allows at
+    # most n of them; more would be a search that does not end.
+    rng = random.Random(11)
+    lines = [b"a=1", b"b=2;", b"c", b"", b",d", b"e=5;", b"f="]
+    span = lambda hit: hit and (hit[0], hit[1], hit[2].span())
+    for trial in range(200):
+        template = rng.choice([b"(F=F\n)*F=F;\n", b"F=F\n\n", b"(F\n,)*F\n\n", b"F;\n",
+                               b"F=\nF\n"])
+        max_span = rng.randint(1, 5)
+        data = b"".join(rng.choice(lines) + b"\n" for _ in range(rng.randrange(60)))
+        if data and rng.random() < 0.3:
+            data = data[:-1]
+        view = TextView.from_bytes(data)
+        rx = compile_template(parse_canonical(template)).rx
+        first = rng.randrange(view.n_lines + 1)
+        hit = _next_record(rx, view, first, max_span)
+        for last in range(view.n_lines + 3):
+            counted = CountingPattern(rx, limit=view.n_lines)
+            got = _next_record(counted, view, first, max_span, last)
+            want = hit if hit is not None and hit[0] <= last else None
+            assert span(got) == span(want), (trial, template, max_span, first, last, data)
 
 
 def test_scan_work_per_line_is_bounded_by_the_span_limit():

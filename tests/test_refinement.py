@@ -1,10 +1,11 @@
 import random
 
-from conftest import ArraySpec, FieldSpec, generate, make_spec
+from conftest import ArraySpec, CountingPattern, FieldSpec, generate, make_spec
+from logstruct import refinement
 from logstruct.corpus import TextView
 from logstruct.refinement import refine, rotations, shift_structure, unfold_arrays
 from logstruct.scoring import parse_with_template, score
-from logstruct.templates import canonical_string, parse_canonical
+from logstruct.templates import canonical_string, compile_template, parse_canonical
 
 
 def tv(data):
@@ -100,6 +101,28 @@ class TestShifting:
         node = parse_canonical(b"=F\n=F\n")
         out = shift_structure(node, tv(data))
         assert canonical_string(out) == b"=F\n=F\n"
+
+    def test_search_stops_at_the_best_first_line(self, monkeypatch):
+        # The identity's first record is on line 0 and the rotation
+        # "=F\n<F>\n" matches nowhere; it is searched only as far as a record
+        # on line 0 could reach, so the work does not grow with the text.
+        patterns = []
+
+        def counted(st):
+            compiled = compile_template(st)
+            compiled.rx = CountingPattern(compiled.rx)
+            patterns.append(compiled.rx)
+            return compiled
+
+        monkeypatch.setattr(refinement, "compile_template", counted)
+        node = parse_canonical(b"<F>\n=F\n")
+        searches = []
+        for filler in (2000, 20000):
+            patterns.clear()
+            out = shift_structure(node, tv(b"<1>\n=2\n" + b"z\n" * filler))
+            assert canonical_string(out) == b"<F>\n=F\n"
+            searches.append(sum(p.searches for p in patterns))
+        assert searches[0] == searches[1], searches
 
 
 class TestRefine:

@@ -16,7 +16,9 @@ To check that a change keeps every output, run the tool over the same
 input directories once with the old source and once with the new, and
 ``diff`` the two listings.  ``--write-synthetic DIR`` writes a few small
 corpora (arrays, nested arrays, a multi-line array record, an array with a
-newline separator, two types, a log without its final newline) into
+newline separator, two types, a log without its final newline, a log that
+starts in the middle of a two-line record, where structure shifting has two
+rotations to compare) into
 ``DIR/<name>/`` for discovery and again, with a ``plan.json`` of the
 planted templates, into ``DIR/<name>-planted/``.  Write them once, with
 either source, and pass their directories to both runs.
@@ -33,21 +35,34 @@ import sys
 import tempfile
 
 # name -> ([(canonical template, field specs, array count, weight)], noise
-# share, records, seed, drop the final newline); a field spec is
+# share, records, seed, edit of the generated bytes or None); a field spec is
 # ("int", lo, hi) or ("str",), and every array repeats 1-4 times.
 _INT = ("int", 0, 9999)
 _STR = ("str",)
+
+
+def _drop_final_newline(data: bytes) -> bytes:
+    return data[:-1]
+
+
+def _start_mid_record(data: bytes) -> bytes:
+    """Two noise lines, then the text from its first "=" line on."""
+    return b"q7x2kd0m\nz93hh1ab4c\n" + data[data.index(b"\n=") + 1:]
+
+
 SYNTHETIC = {
     "two_types": ([("<<F>>\n==F.F.F.F\n", [("int", 0, 10**6)] + [("int", 0, 255)] * 4, 0, 0.55),
-                   ("[F] F -> F\n", [_STR, _STR, _STR], 0, 0.45)], 0.15, 150, 3, False),
+                   ("[F] F -> F\n", [_STR, _STR, _STR], 0, 0.45)], 0.15, 150, 3, None),
     "arrays": ([('F,"(F,)*F",F\n', [_STR, _INT, _STR], 1, 0.6),
-                ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 8, False),
+                ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 8, None),
     "nested_arrays": ([("((F;)*F:F,)*(F;)*F:F.\n", [_INT, _STR], 2, 1.0)],
-                      0.1, 120, 5, False),
-    "multiline_array": ([("#F\n(F\n,)*F\n\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 6, False),
-    "config_dump": ([("(F=F\n)*F=F;\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 4, False),
+                      0.1, 120, 5, None),
+    "multiline_array": ([("#F\n(F\n,)*F\n\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 6, None),
+    "config_dump": ([("(F=F\n)*F=F;\n", [_STR, _INT], 1, 1.0)], 0.1, 100, 4, None),
     "no_final_newline": ([('F,"(F,)*F",F\n', [_STR, _INT, _STR], 1, 0.6),
-                          ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 9, True),
+                          ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 9, _drop_final_newline),
+    "mid_record_start": ([("<F>\n=F F=\n", [_INT, _INT, _STR], 0, 1.0)],
+                         0.1, 120, 2, _start_mid_record),
 }
 
 
@@ -57,7 +72,7 @@ def write_synthetic(ls, out_dir: str) -> None:
     templates."""
     from logstruct.synth import ArraySpec, FieldSpec, SynthSpec, TemplateSpec
 
-    for name, (types, noise, records, seed, cut) in SYNTHETIC.items():
+    for name, (types, noise, records, seed, edit) in SYNTHETIC.items():
         spec = SynthSpec(
             templates=[TemplateSpec(
                 template=ls.parse_canonical(tpl.encode("latin-1")),
@@ -66,8 +81,8 @@ def write_synthetic(ls, out_dir: str) -> None:
                 weight=weight) for tpl, fields, n_arrays, weight in types],
             noise_fraction=noise, record_count=records, seed=seed)
         data = ls.generate(spec).data
-        if cut:
-            data = data[:-1]
+        if edit is not None:
+            data = edit(data)
         plan = {"status": "ok", "max_span_lines": 10, "diagnostics": {},
                 "residual_noise_fraction": 0.0,
                 "rounds": [{"template": tpl} for tpl, _, _, _ in types]}
