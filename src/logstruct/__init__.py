@@ -29,11 +29,7 @@ from .synth import SynthSpec, apply_ops, generate, verify_success
 from .templates import (
     Array,
     Field,
-    RecordTemplate,
     Struct,
     canonical_string,
-    extract_record_template,
-    matches,
     parse_canonical,
-    reduce_to_structure_template,
 )

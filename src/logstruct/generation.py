@@ -8,8 +8,11 @@ threshold are discarded.  Candidates stay canonical strings: no template
 tree is built here, only for the few that pruning keeps.
 
 The scan is vectorized: per-line template hashes are computed with a rolling
-polynomial hash over the whole buffer, spans are grouped by window hashes,
-and reduction runs once per distinct line-sequence group.
+polynomial hash over the whole buffer, and spans are grouped by window
+hashes.  One span template per group goes to the search's symbol pool
+(``templates._SymbolPool.reduce_template``), which returns the canonical
+string of its reduction and reduces each distinct line and span template
+only once per search.
 """
 
 from __future__ import annotations
@@ -19,15 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TextView
-from .templates import (
-    ENUMERABLE_CANDIDATE_BYTES,
-    FIELD_BYTE,
-    NEWLINE,
-    _RUN_RX,
-    _SymbolPool,
-    reduce_elements,
-    reduce_line,
-)
+from .templates import ENUMERABLE_CANDIDATE_BYTES, FIELD_BYTE, NEWLINE, _SymbolPool
 
 _B = np.uint64(1099511628211)  # FNV prime, odd so it is invertible mod 2^64
 _BINV = np.uint64(pow(1099511628211, -1, 2**64))
@@ -108,35 +103,8 @@ class _GenContext:
         self.present_specials = tuple(
             int(b) for b in present if int(b) in ENUMERABLE_CANDIDATE_BYTES
         )
-        self.reduce_memo: dict[bytes, bytes] = {}
-        self.line_memo: dict[bytes, tuple] = {}
+        # Reduces the span templates of every charset, each one once.
         self.symbol_pool = _SymbolPool()
-
-    def reduce_span(self, tpl: bytes) -> bytes:
-        """Canonical string of the span template's reduction (memoized)."""
-        hit = self.reduce_memo.get(tpl)
-        if hit is not None:
-            return hit
-        pool = self.symbol_pool
-        parts = []
-        syms_parts = []
-        for raw in tpl.split(b"\n")[:-1]:
-            line = raw + b"\n"
-            cached = self.line_memo.get(line)
-            if cached is None:
-                seq, syms = reduce_line(line, pool)
-                cached = (seq, syms, "".join(syms), pool.canonical_of("".join(syms)))
-                self.line_memo[line] = cached
-            parts.append(cached)
-            syms_parts.append(cached[2])
-        joined = "".join(syms_parts)
-        if len(parts) == 1 or _RUN_RX.search(joined) is None:
-            key = b"".join(p[3] for p in parts)
-        else:
-            _, syms = reduce_elements([(p[0], p[1]) for p in parts], pool)
-            key = pool.canonical_of("".join(syms))
-        self.reduce_memo[tpl] = key
-        return key
 
 
 def _gen_one(ctx: _GenContext, charset: frozenset[int],
@@ -225,7 +193,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
             tpl = tb[t0:t1].tobytes()
             if ctx.missing_newline and first_line + w == n:
                 tpl += b"\n"
-            key = ctx.reduce_span(tpl)
+            key = ctx.symbol_pool.reduce_template(tpl)
             bins.setdefault(key, []).append(
                 (w, starts_sorted[b0 : b0 + int(counts[g])].copy()))
 

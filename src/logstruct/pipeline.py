@@ -197,10 +197,24 @@ def report_json(plan: ExtractionPlan) -> str:
 
 
 def plan_from_report(doc: dict) -> ExtractionPlan:
-    """Rebuild an applicable plan (templates + span limit) from a report."""
+    """Rebuild an applicable plan (templates + span limit) from a report.
+
+    The report may come from outside the program: a malformed one raises
+    ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("plan must be a JSON object")
+    rounds_doc = doc.get("rounds", [])
+    if not (isinstance(rounds_doc, list) and all(isinstance(r, dict) for r in rounds_doc)):
+        raise ValueError("plan rounds must be a list of objects")
+    max_span_lines = doc.get("max_span_lines", 10)
+    if type(max_span_lines) is not int or max_span_lines < 1:
+        raise ValueError("plan max_span_lines must be an integer >= 1")
     templates = []
     rounds = []
-    for r in doc.get("rounds", []):
+    for r in rounds_doc:
+        if not isinstance(r.get("template"), str):
+            raise ValueError("every plan round needs a template string")
         node = parse_canonical(r["template"].encode("latin-1"))
         compile_template(node)  # admission check
         st = ScoredTemplate(
@@ -222,5 +236,5 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
         residual_noise_fraction=doc.get("residual_noise_fraction", 0.0),
         status=doc.get("status", "ok" if templates else "no_structure"),
         diagnostics=doc.get("diagnostics", {}),
-        max_span_lines=doc.get("max_span_lines", 10),
+        max_span_lines=max_span_lines,
     )

@@ -19,7 +19,6 @@ from .templates import (
     ARRAY,
     NEWLINE,
     Array,
-    Field,
     Layout,
     Node,
     Struct,
@@ -138,15 +137,15 @@ def _line_groups(st: Node) -> list[list[Node]] | None:
             if start < len(e):
                 groups[-1].append(e[start:])
         elif isinstance(e, Array):
-            if any(NEWLINE in (a.sep, a.term) or _has_newline(a.body)
-                   for a in layout(e).arrays):
-                if e.term == NEWLINE and not _has_newline(e.body) and e.sep != NEWLINE:
-                    groups[-1].append(e)
-                    groups.append([])
-                else:
-                    return None
-            else:
+            # charset: every literal byte, separator and terminator inside
+            if NEWLINE not in layout(e).charset:
                 groups[-1].append(e)
+            elif (e.term == NEWLINE and e.sep != NEWLINE
+                  and NEWLINE not in layout(e.body).charset):
+                groups[-1].append(e)
+                groups.append([])
+            else:
+                return None
         else:
             groups[-1].append(e)
     if groups and not groups[-1]:
@@ -155,16 +154,6 @@ def _line_groups(st: Node) -> list[list[Node]] | None:
         # template does not end on a line boundary; treat as single group
         return None
     return groups
-
-
-def _has_newline(node: Node) -> bool:
-    if isinstance(node, bytes):
-        return NEWLINE in node
-    if isinstance(node, Field):
-        return False
-    if isinstance(node, Array):
-        return NEWLINE in (node.sep, node.term) or _has_newline(node.body)
-    return any(_has_newline(c) for c in node.children)
 
 
 def rotations(st: Node) -> list[Node]:

@@ -177,42 +177,6 @@ def field_count(node: Node) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Record template extraction
-
-
-@dataclass(frozen=True)
-class RecordTemplate:
-    """Extraction result: template text plus the replaced field byte total."""
-
-    text: bytes
-    field_bytes: int
-
-    @property
-    def valid(self) -> bool:
-        # A record template must contain at least one placeholder.
-        return FIELD_BYTE in self.text
-
-
-def extract_record_template(record: bytes, charset: frozenset[int]) -> RecordTemplate:
-    """Replace each maximal run of non-charset bytes with one placeholder."""
-    if not record:
-        raise TemplateError("empty record")
-    out = bytearray()
-    field_bytes = 0
-    in_field = False
-    for b in record:
-        if b in charset:
-            out.append(b)
-            in_field = False
-        else:
-            field_bytes += 1
-            if not in_field:
-                out.append(FIELD_BYTE)
-                in_field = True
-    return RecordTemplate(bytes(out), field_bytes)
-
-
-# ---------------------------------------------------------------------------
 # Canonical serialization
 
 _META = frozenset(b"()*F\\")
@@ -344,25 +308,37 @@ def parse_canonical(data: bytes) -> Node:
 
 # ---------------------------------------------------------------------------
 # Reduction of record templates to minimal structure templates
+#
+# Reduction folds each run ``U x U x ... U y`` (at least MIN_ARRAY_UNITS
+# copies of a unit U, a separator byte x and a distinct terminator byte y)
+# into the array ``(U x)* U y``, until no run is left: within each line
+# first, then across the lines; the leftmost run folds first, and of the
+# runs that start there the longest.  It works on symbol strings, one
+# character per element: a literal byte is the character of the same code,
+# a placeholder is "F", and an array is an array symbol, a private-use
+# character that the pool interns under the array's canonical bytes.  A
+# reduction yields canonical bytes; parse_canonical builds the tree.
 
-# Leftmost candidate run detector over one symbol per sequence element.
-# Array nodes are interned into the private-use plane; separators and
-# terminators must be ordinary single-byte literals.
+# Array symbols count up from _ARRAY_SYM_FIRST.  Only literal symbols, below
+# it, separate or terminate a run.
+_ARRAY_SYM_FIRST = "\ue000"
+_ARRAY_SYM_LAST = "\uf8ff"
+
+# Leftmost candidate run detector over a symbol string.
 _RUN_RX = re.compile(
-    "(.{1,%d}?)([^F-])(?:\\1\\2)+\\1(?!\\2)[^F-]"
-    % MAX_UNIT_BYTES,
+    "(.{1,%d}?)([^F%s-%s])(?:\\1\\2)+\\1(?!\\2)[^F%s-%s]"
+    % ((MAX_UNIT_BYTES,) + (_ARRAY_SYM_FIRST, _ARRAY_SYM_LAST) * 2),
     re.DOTALL,
 )
 
 
 def _is_literal_sym(ch: str) -> bool:
-    return ch != "F" and ch < ""
+    return ch != "F" and ch < _ARRAY_SYM_FIRST
 
 
-def _longest_run_at(s: str, start: int, slen) -> tuple[int, int] | None:
+def _longest_run_at(s: str, start: int, pool: _SymbolPool) -> tuple[int, int] | None:
     """Longest run ``(Ux){k} U y`` anchored at start in the symbol string.
 
-    ``slen(i, j)`` gives the serialized byte length of symbols [i, j).
     Returns (unit_len, k).
     """
     n = len(s)
@@ -370,9 +346,9 @@ def _longest_run_at(s: str, start: int, slen) -> tuple[int, int] | None:
     best_span = 0
     max_unit = min(MAX_UNIT_BYTES, (n - start - 2) // 2)
     for ulen in range(1, max_unit + 1):
-        if slen(start, start + ulen) > MAX_UNIT_BYTES:
-            break
         unit = s[start : start + ulen]
+        if pool.byte_len(unit) > MAX_UNIT_BYTES:
+            break
         sep = s[start + ulen]
         if not _is_literal_sym(sep):
             continue
@@ -403,20 +379,28 @@ _ESC_TABLE = [_escape_byte(b) for b in range(256)]
 
 
 class _SymbolPool:
-    """Interns array nodes as private-use codepoints for the run scanner."""
+    """Array symbols, and the reductions made with them.
+
+    One pool serves many record templates (a whole charset search): each
+    array is interned once, and each line and record template is reduced
+    once.
+    """
 
     def __init__(self):
-        self.by_key: dict[bytes, str] = {}
-        self.node_by_sym: dict[str, Array] = {}
+        self.sym_by_key: dict[bytes, str] = {}
         self.canon_by_sym: dict[str, bytes] = {}
+        self.line_memo: dict[bytes, tuple[str, bytes]] = {}
+        self.template_memo: dict[bytes, bytes] = {}
 
-    def symbol(self, node: Array) -> str:
-        key = canonical_string(node)
-        sym = self.by_key.get(key)
+    def array_symbol(self, body: str, sep: str, term: str) -> str:
+        """The symbol of the array ``(body sep)* body term``, interned under
+        the bytes canonical_string writes for it."""
+        unit = self.canonical_of(body)
+        key = b"(" + unit + _ESC_TABLE[ord(sep)] + b")*" + unit + _ESC_TABLE[ord(term)]
+        sym = self.sym_by_key.get(key)
         if sym is None:
-            sym = chr(0xE000 + len(self.by_key))
-            self.by_key[key] = sym
-            self.node_by_sym[sym] = node
+            sym = chr(ord(_ARRAY_SYM_FIRST) + len(self.sym_by_key))
+            self.sym_by_key[key] = sym
             self.canon_by_sym[sym] = key
         return sym
 
@@ -425,167 +409,66 @@ class _SymbolPool:
         for ch in syms:
             if ch == "F":
                 out.append(b"F")
-            elif ch >= "":
+            elif ch >= _ARRAY_SYM_FIRST:
                 out.append(self.canon_by_sym[ch])
             else:
                 out.append(_ESC_TABLE[ord(ch)])
         return b"".join(out)
 
-
-def _symbols(seq: list[Node], pool: _SymbolPool) -> list[str]:
-    out = []
-    for e in seq:
-        if isinstance(e, bytes):
-            out.append(chr(e[0]))
-        elif isinstance(e, Field):
-            out.append("F")
-        else:
-            out.append(pool.symbol(e))
-    return out
-
-
-def _reduce_seq(seq: list[Node], pool: _SymbolPool,
-                syms: list[str] | None = None) -> tuple[list[Node], list[str]]:
-    if syms is None:
-        syms = _symbols(seq, pool)
-
-    def slen(i: int, j: int) -> int:
+    def byte_len(self, syms: str) -> int:
+        """Length of ``canonical_of(syms)``."""
         total = 0
-        for ch in s[i:j]:
-            if ch >= "":
-                total += len(pool.canon_by_sym[ch])
+        for ch in syms:
+            if ch >= _ARRAY_SYM_FIRST:
+                total += len(self.canon_by_sym[ch])
             else:
                 total += 1 if ch == "F" else len(_ESC_TABLE[ord(ch)])
         return total
 
+    def reduce_template(self, text: bytes) -> bytes:
+        """Canonical bytes of the reduction of a record template."""
+        key = self.template_memo.get(text)
+        if key is None:
+            lines = text.split(b"\n")
+            last = lines.pop()  # empty when the text ends with a newline
+            parts = [self._reduce_line(line + b"\n") for line in lines]
+            if last:
+                parts.append(self._reduce_line(last))
+            joined = "".join(syms for syms, _ in parts)
+            reduced = _reduce_seq(joined, self) if len(parts) > 1 else joined
+            if reduced != joined:
+                key = self.canonical_of(reduced)
+            else:
+                key = b"".join(canon for _, canon in parts)
+            self.template_memo[text] = key
+        return key
+
+    def _reduce_line(self, line: bytes) -> tuple[str, bytes]:
+        hit = self.line_memo.get(line)
+        if hit is None:
+            syms = _reduce_seq(line.decode("latin-1"), self)
+            hit = self.line_memo[line] = (syms, self.canonical_of(syms))
+        return hit
+
+
+def _reduce_seq(s: str, pool: _SymbolPool) -> str:
+    """Fold the runs of a symbol string until none is left."""
     while True:
-        s = "".join(syms)
         pos = 0
         found = None
-        while True:
+        while found is None:
             m = _RUN_RX.search(s, pos)
             if m is None:
-                break
-            found = _longest_run_at(s, m.start(), slen)
-            if found is not None:
-                pos = m.start()
-                break
-            pos = m.start() + 1
-        if found is None:
-            return seq, syms
+                return s
+            pos = m.start()
+            found = _longest_run_at(s, pos, pool)
+            if found is None:
+                pos += 1
         ulen, k = found
-        unit = seq[pos : pos + ulen]
-        sep = seq[pos + ulen]
         term_pos = pos + k * (ulen + 1) + ulen
-        term = seq[term_pos]
-        body_seq, _ = _reduce_seq(list(unit), pool, syms[pos : pos + ulen])
-        node = Array(struct_of(body_seq), sep[0], term[0])
-        seq = seq[:pos] + [node] + seq[term_pos + 1 :]
-        syms = syms[:pos] + [pool.symbol(node)] + syms[term_pos + 1 :]
-
-
-def _flat_elements(text: bytes) -> list[Node]:
-    # No repeated runs: alternate literal bytes and placeholders.
-    return [Field() if b == FIELD_BYTE else bytes([b]) for b in text]
-
-
-def reduce_line(text: bytes, pool: _SymbolPool) -> tuple[list[Node], list[str]]:
-    """Phase one of reduction: fold runs within one line."""
-    if _RUN_RX.search(text.decode("latin-1")) is None:
-        return _flat_elements(text), list(text.decode("latin-1"))
-    return _reduce_seq(_flat_elements(text), pool)
-
-
-def reduce_elements(seqs: list[tuple[list[Node], list[str]]],
-                    pool: _SymbolPool) -> tuple[list[Node], list[str]]:
-    """Phase two: fold runs across the concatenated line sequences."""
-    seq = [e for s, _ in seqs for e in s]
-    syms = [c for _, sy in seqs for c in sy]
-    if _RUN_RX.search("".join(syms)) is None:
-        return seq, syms
-    return _reduce_seq(seq, pool, syms)
-
-
-def _split_lines(text: bytes) -> list[bytes]:
-    lines = text.split(b"\n")
-    if lines[-1] == b"":
-        return [l + b"\n" for l in lines[:-1]]
-    return [l + b"\n" for l in lines[:-1]] + [lines[-1]]
-
-
-def reduce_to_structure_template(rt: RecordTemplate | bytes) -> Node:
-    """Fold repeated ``U x ... U y`` runs into arrays until a fixed point.
-
-    Runs are folded within each line first, then across lines; conflicting
-    rewrites resolve leftmost-first, longest run first.
-    """
-    text = rt.text if isinstance(rt, RecordTemplate) else rt
-    if not text:
-        raise TemplateError("empty record template")
-    pool = _SymbolPool()
-    parts = [reduce_line(l, pool) for l in _split_lines(text)]
-    if len(parts) == 1:
-        return struct_of(parts[0][0])
-    seq, _ = reduce_elements(parts, pool)
-    return struct_of(seq)
-
-
-def reduce_node(node: Node) -> Node:
-    """Re-run reduction over an existing template's element sequences."""
-    elems: list[Node] = []
-    for e in _elements(node):
-        if isinstance(e, bytes):
-            elems.extend(bytes([b]) for b in e)
-        elif isinstance(e, Array):
-            elems.append(Array(reduce_node(e.body), e.sep, e.term))
-        else:
-            elems.append(e)
-    seq, _ = _reduce_seq(elems, _SymbolPool())
-    return struct_of(seq)
-
-
-# ---------------------------------------------------------------------------
-# Matching record templates against structure templates
-
-
-def matches(st: Node, rt: RecordTemplate | bytes) -> bool:
-    """True iff the record template is in the language of the template."""
-    text = rt.text if isinstance(rt, RecordTemplate) else bytes(rt)
-    return _match_end(st, text, 0) == len(text)
-
-
-def _match_end(node: Node, text: bytes, pos: int) -> int:
-    """End of ``node`` matched at ``pos`` of a record template, or -1."""
-    if isinstance(node, Field):
-        if pos < len(text) and text[pos] == FIELD_BYTE:
-            return pos + 1
-        return -1
-    if isinstance(node, bytes):
-        end = pos + len(node)
-        if text[pos:end] == node:
-            return end
-        return -1
-    if isinstance(node, Struct):
-        for c in node.children:
-            pos = _match_end(c, text, pos)
-            if pos < 0:
-                return -1
-        return pos
-    # Array
-    pos = _match_end(node.body, text, pos)
-    if pos < 0:
-        return -1
-    while True:
-        if pos >= len(text):
-            return -1
-        b = text[pos]
-        if b == node.term:
-            return pos + 1
-        if b != node.sep:
-            return -1
-        pos = _match_end(node.body, text, pos + 1)
-        if pos < 0:
-            return -1
+        body = _reduce_seq(s[pos : pos + ulen], pool)
+        sym = pool.array_symbol(body, s[pos + ulen], s[term_pos])
+        s = s[:pos] + sym + s[term_pos + 1 :]
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,8 @@ from logstruct.generation import GenerationConfig, exhaustive_search, greedy_sea
 from logstruct.pipeline import PipelineConfig, discover, report_json
 from logstruct.scoring import FieldType, score
 from logstruct.synth import apply_ops, verify_success
-from logstruct.templates import (
-    canonical_string,
-    extract_record_template,
-    parse_canonical,
-    reduce_to_structure_template,
-)
+from logstruct.templates import canonical_string, parse_canonical
+from oracles import extract_record_template, reduce_to_structure_template
 
 
 def _ok(n, desc):

@@ -90,6 +90,26 @@ def test_extract_plan_template_without_final_newline_rejected(tmp_path, capsys):
     assert "newline" in capsys.readouterr().err
 
 
+_GOOD_PLAN = {"status": "ok", "max_span_lines": 10, "rounds": [{"template": "F,F\n"}]}
+
+
+@pytest.mark.parametrize("plan", [
+    {**_GOOD_PLAN, "max_span_lines": "3"},
+    {**_GOOD_PLAN, "max_span_lines": 2.5},
+    {**_GOOD_PLAN, "max_span_lines": 0},
+    {**_GOOD_PLAN, "rounds": [{"total_dl": 1.0}]},
+    {**_GOOD_PLAN, "rounds": [{"template": 7}]},
+    {**_GOOD_PLAN, "rounds": "F,F\n"},
+], ids=["span-str", "span-float", "span-zero", "no-template", "template-int",
+        "rounds-str"])
+def test_extract_malformed_plan_rejected(plan, csv_log, tmp_path, capsys):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    code = main(["extract", str(csv_log), "--plan", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_extract_requires_plan_or_auto(csv_log, capsys):
     assert main(["extract", str(csv_log)]) == 2
 

@@ -11,11 +11,8 @@ from logstruct.generation import (
     gen_for_charset,
     greedy_search,
 )
-from logstruct.templates import (
-    canonical_string,
-    extract_record_template,
-    reduce_to_structure_template,
-)
+from logstruct.templates import canonical_string
+from oracles import extract_record_template, reduce_to_structure_template
 
 NL = ord("\n")
 

@@ -20,14 +20,16 @@ from logstruct.templates import (
     TemplateError,
     canonical_string,
     compile_template,
-    extract_record_template,
     layout,
-    matches,
     parse_canonical,
-    reduce_node,
-    reduce_to_structure_template,
     render_record,
     struct_of,
+)
+from oracles import (
+    extract_record_template,
+    matches,
+    reduce_node,
+    reduce_to_structure_template,
 )
 
 CSV_CHARSET = frozenset(b",\n")
@@ -93,6 +95,15 @@ class TestReduce:
     def test_cross_line_run(self):
         reduced = reduce_to_structure_template(b"F,F\nF,F\nF,F;")
         assert canonical_string(reduced) == b"(F,F\n)*F,F;"
+
+    @pytest.mark.parametrize("rt,expected", [
+        (b"[F,F,F]\n[F,F,F]\n[F,F,F]\n[F,F,F];", b"([(F,)*F]\n)*[(F,)*F];"),
+        (b"<F>\n[F,F,F]\n<F>\n[F,F,F]\n<F>\n[F,F,F]\n<F>\n[F,F,F];\n",
+         b"(<F>\n[(F,)*F]\n)*<F>\n[(F,)*F];\n"),
+    ])
+    def test_cross_line_run_of_units_holding_arrays(self, rt, expected):
+        # the array inside the unit is part of the cross-line array's body
+        assert canonical_string(reduce_to_structure_template(rt)) == expected
 
     def test_identical_lines_do_not_fold_without_distinct_terminator(self):
         reduced = reduce_to_structure_template(b"F,F\nF,F\n")

@@ -18,7 +18,8 @@ input directories once with the old source and once with the new, and
 corpora (arrays, nested arrays, a multi-line array record, an array with a
 newline separator, two types, a log without its final newline, a log that
 starts in the middle of a two-line record, where structure shifting has two
-rotations to compare) into
+rotations to compare, and the three short record types of the
+``extract_bulk`` workload, whose discovery is mostly array reduction) into
 ``DIR/<name>/`` for discovery and again, with a ``plan.json`` of the
 planted templates, into ``DIR/<name>-planted/``.  Write them once, with
 either source, and pass their directories to both runs.
@@ -63,6 +64,9 @@ SYNTHETIC = {
                           ("<F>|F\n", [_INT, _STR], 0, 0.4)], 0.2, 150, 9, _drop_final_newline),
     "mid_record_start": ([("<F>\n=F F=\n", [_INT, _INT, _STR], 0, 1.0)],
                          0.1, 120, 2, _start_mid_record),
+    "bulk_mix": ([("[F] F=F\n", [_STR, _STR, ("int", 0, 10**6)], 0, 0.45),
+                  ("<F>|F|F\n", [("int", 0, 10**6), _STR, ("int", 0, 999)], 0, 0.35),
+                  ("{F} (F,)*F;\n", [_STR, _INT], 1, 0.2)], 0.15, 300, 1, None),
 }
 
 
