@@ -151,13 +151,14 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.truth, encoding="utf-8") as fh:
         truth_doc = json.load(fh)
+    truth = truth_from_json(truth_doc)
     if args.script:
         with open(args.script, encoding="utf-8") as fh:
             script = json.load(fh)
     else:
         script = truth_doc.get("script", [])
     extracted = read_extracted(args.extracted)
-    ok, diff = verify_success(extracted, truth_from_json(truth_doc), script)
+    ok, diff = verify_success(extracted, truth, script)
     print(json.dumps({"success": ok, "diff": diff}, sort_keys=True))
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -5,6 +5,7 @@ linked by a ``_parent_id`` foreign key (nested arrays chain grandchild
 tables).  Each field placeholder maps to exactly one column.  Records are
 found by the scan that scoring uses (see :mod:`logstruct.scoring`); unmatched
 lines go to a noise sidecar, so records plus noise reconstruct the corpus.
+Only tables, noise and the record index are stored; the rest is derived.
 """
 
 from __future__ import annotations
@@ -45,27 +46,20 @@ class TableSchema:
 
 @dataclass
 class TemplateSchema:
-    type_index: int
     template: Node
     layout: Layout
-    tables: list[TableSchema]  # index 0 is the root table
-    leaf_table: list[int]  # leaf index -> table position
+    tables: list[TableSchema]  # the root table, then array j's at j + 1
     leaf_col: list[int]  # leaf index -> column position in its table
-    array_table: list[int]  # array index -> its child-table position
-    leaf_key: list[str]  # leaf index -> nested-form key ("f<i>")
-    array_key: list[str]  # array index -> nested-form key ("a<i>")
 
 
 def build_schema(type_index: int, template: Node) -> TemplateSchema:
     """One root table, plus one child table per array in array order; each
     leaf is a column of the table of its innermost array (or of the root)."""
     lay = layout(template)
-    n_arrays = len(lay.arrays)
     tables = [TableSchema(f"t{type_index}", ["_id"], None)] + [
         TableSchema(f"t{type_index}_a{j}", ["_id", "_parent_id"], None)
-        for j in range(n_arrays)
+        for j in range(len(lay.arrays))
     ]
-    array_table = [j + 1 for j in range(n_arrays)]
     leaf_table = [0] * lay.n_leaves
     pending = [(lay, 0)]
     while pending:
@@ -74,15 +68,13 @@ def build_schema(type_index: int, template: Node) -> TemplateSchema:
             if kind == LEAF:
                 leaf_table[index] = table_pos
             elif kind == ARRAY:
-                tables[array_table[index]].parent = tables[table_pos].name
-                pending.append((sub, array_table[index]))
+                tables[index + 1].parent = tables[table_pos].name
+                pending.append((sub, index + 1))
     leaf_col = []
     for i, table_pos in enumerate(leaf_table):
         leaf_col.append(len(tables[table_pos].columns))
         tables[table_pos].columns.append(f"f{i}")
-    return TemplateSchema(type_index, template, lay, tables, leaf_table, leaf_col,
-                          array_table, [f"f{i}" for i in range(lay.n_leaves)],
-                          [f"a{j}" for j in range(n_arrays)])
+    return TemplateSchema(template, lay, tables, leaf_col)
 
 
 @dataclass
@@ -104,13 +96,19 @@ class RecordMeta:
 
 @dataclass
 class RelationalOutput:
+    """Tables, ``(offset, line)`` noise, a ``RecordMeta`` per record, schemas."""
+
     tables: list[Table]
-    foreign_keys: dict[tuple[str, str], str]
-    denormalized: list[dict]
     noise: list[tuple[int, bytes]]
     records: list[RecordMeta]
     schemas: list[TemplateSchema]
     source_len: int = 0
+
+    @property
+    def foreign_keys(self) -> dict[tuple[str, str], str]:
+        """``(child table, "_parent_id") -> parent table``."""
+        return {(ts.name, "_parent_id"): ts.parent
+                for sc in self.schemas for ts in sc.tables if ts.parent is not None}
 
     def table(self, name: str) -> Table:
         for t in self.tables:
@@ -130,48 +128,38 @@ def _new_row(table: Table, parent_id: int | None) -> tuple[int, list[str]]:
 
 
 def emit_record(schema: TemplateSchema, tables: list[Table],
-                values: list[list[bytes]], arities: list[list[int]]) -> tuple[int, dict]:
-    """Append one record's rows; returns (root row id, nested form)."""
+                values: list[list[bytes]], arities: list[list[int]]) -> int:
+    """Append one record's rows; returns its root row id."""
     root_id, root_row = _new_row(tables[0], None)
-    nested: dict = {"_type": schema.tables[0].name, "_row": root_id}
     _emit(schema.layout, schema, tables, [iter(v) for v in values],
-          [iter(a) for a in arities], root_row, nested)
-    return root_id, nested
+          [iter(a) for a in arities], root_id, root_row)
+    return root_id
 
 
 def _emit(lay: Layout, schema: TemplateSchema, tables: list[Table],
-          values: list, arities: list, row: list[str], obj: dict) -> None:
-    """Fill ``row`` and ``obj`` from the next values of ``lay``'s leaves, and
-    add child rows for its arrays."""
-    for kind, index, node, body in lay.slots:
+          values: list, arities: list, row_id: int, row: list[str]) -> None:
+    """Fill ``row`` from the next values of ``lay``'s leaves, and add child
+    rows for its arrays."""
+    for kind, index, _, body in lay.slots:
         if kind == LEAF:
-            v = next(values[index]).decode("latin-1")
-            row[schema.leaf_col[index]] = v
-            obj[schema.leaf_key[index]] = v
+            row[schema.leaf_col[index]] = next(values[index]).decode("latin-1")
         elif kind == ARRAY:
-            table = tables[schema.array_table[index]]
-            parent_id = int(row[0])
-            single = isinstance(node.body, Field)
-            items = []
+            table = tables[index + 1]
             for _ in range(next(arities[index])):
-                _, child_row = _new_row(table, parent_id)
-                child_obj: dict = {}
-                _emit(body, schema, tables, values, arities, child_row, child_obj)
-                items.append(next(iter(child_obj.values())) if single else child_obj)
-            obj[schema.array_key[index]] = items
+                _emit(body, schema, tables, values, arities,
+                      *_new_row(table, row_id))
 
 
 @contextmanager
 def _gc_paused():
     """Suspend the cyclic collector while building many acyclic objects.
 
-    The rows, nested dicts and lists built per record hold no reference
-    cycles, so collecting them reclaims nothing.  Left on, the collector's
-    full passes rescan the whole live heap (other data of the process
-    included) each time it grows by a quarter, which adds seconds per
-    100 MB of input and makes the cost of one extraction depend on what
-    else is alive.  Code run under the pause must not create garbage
-    cycles: they would stay in memory until it ends.
+    The rows built per record hold no reference cycles, so collecting them
+    reclaims nothing.  Left on, the collector's full passes rescan the whole
+    live heap (other data of the process included) each time it grows by a
+    quarter, which adds seconds per 100 MB of input and makes the cost of
+    one extraction depend on what else is alive.  Code run under the pause
+    must not create garbage cycles: they would stay in memory until it ends.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -182,15 +170,10 @@ def _gc_paused():
             gc.enable()
 
 
-def new_tables(schemas: list[TemplateSchema]
-               ) -> tuple[list[list[Table]], dict[tuple[str, str], str]]:
-    """Empty tables of each record type, and the foreign keys
-    ``(child table, "_parent_id") -> parent table`` that link them."""
-    tables = [[Table(ts.name, list(ts.columns), []) for ts in sc.tables]
-              for sc in schemas]
-    fks = {(ts.name, "_parent_id"): ts.parent
-           for sc in schemas for ts in sc.tables if ts.parent is not None}
-    return tables, fks
+def new_tables(schemas: list[TemplateSchema]) -> list[list[Table]]:
+    """Empty tables of each record type."""
+    return [[Table(ts.name, list(ts.columns), []) for ts in sc.tables]
+            for sc in schemas]
 
 
 def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
@@ -200,8 +183,7 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
     tv = corpus.view()
     compiled = [compile_template(t) for t in plan.template_nodes]
     schemas = [build_schema(i, c.template) for i, c in enumerate(compiled)]
-    tables_per_type, fks = new_tables(schemas)
-    denormalized: list[dict] = []
+    tables_per_type = new_tables(schemas)
     noise: list[tuple[int, bytes]] = []
     records: list[RecordMeta] = []
 
@@ -210,16 +192,14 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
         for k, i, j, end, values, arities in scan_records(tv, compiled,
                                                           plan.max_span_lines):
             _noise_lines(tv, prev, i, noise)
-            rid, nested = emit_record(schemas[k], tables_per_type[k], values, arities)
-            nested["_span"] = [i, j]
+            rid = emit_record(schemas[k], tables_per_type[k], values, arities)
             records.append(RecordMeta(k, rid, i, j, int(tv.offsets[i]), end))
-            denormalized.append(nested)
             prev = j
         _noise_lines(tv, prev, tv.n_lines, noise)
 
     tables = [t for group in tables_per_type for t in group]
-    return RelationalOutput(tables, fks, denormalized, noise, records,
-                            schemas, source_len=len(tv.data))
+    return RelationalOutput(tables, noise, records, schemas,
+                            source_len=len(tv.data))
 
 
 def _noise_lines(tv: TextView, first: int, stop: int,
@@ -256,11 +236,27 @@ def _collect(lay: Layout, schema: TemplateSchema, children_index: dict,
         if kind == LEAF:
             values[index].append(row[schema.leaf_col[index]].encode("latin-1"))
         elif kind == ARRAY:
-            child_name = schema.tables[schema.array_table[index]].name
+            child_name = schema.tables[index + 1].name
             rows = children_index.get((child_name, int(row[0])), [])
             arities[index].append(len(rows))
             for child_row in rows:
                 _collect(body, schema, children_index, child_row, values, arities)
+
+
+def _nested(lay: Layout, schema: TemplateSchema, children_index: dict,
+            row: list[str]) -> dict:
+    """``row``'s values of ``lay``'s leaves as ``f<i>``, and each array's child
+    rows as ``a<j>``: their nested forms, or values when the body is a field."""
+    obj: dict = {}
+    for kind, index, node, body in lay.slots:
+        if kind == LEAF:
+            obj[f"f{index}"] = row[schema.leaf_col[index]]
+        elif kind == ARRAY:
+            rows = children_index.get((schema.tables[index + 1].name, int(row[0])), [])
+            items = [_nested(body, schema, children_index, r) for r in rows]
+            obj[f"a{index}"] = ([item.popitem()[1] for item in items]
+                                if isinstance(node.body, Field) else items)
+    return obj
 
 
 def build_children_index(out: RelationalOutput) -> dict:
@@ -293,7 +289,8 @@ def reconstruct(out: RelationalOutput) -> bytes:
 
 
 def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[str]:
-    """Write CSV tables, denormalized NDJSON, noise sidecar, and manifest."""
+    """Write CSV tables and/or ``records.ndjson`` (per record, its ``_nested``
+    form plus ``_type``, ``_row`` and ``_span``), noise sidecar, and manifest."""
     if fmt not in ("csv", "json", "both"):
         raise ValueError("format must be csv, json, or both")
     os.makedirs(directory, exist_ok=True)
@@ -313,8 +310,14 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
                 written.append(fname)
         if fmt in ("json", "both"):
             fname = path("records.ndjson")
+            children_index = build_children_index(out)
             with open(fname, "w", encoding="latin-1") as fh:
-                for obj in out.denormalized:
+                for m in out.records:
+                    schema = out.schemas[m.type_index]
+                    root = out.table(schema.tables[0].name).rows[m.row_id]
+                    obj = _nested(schema.layout, schema, children_index, root)
+                    obj.update(_type=schema.tables[0].name, _row=m.row_id,
+                               _span=[m.start_line, m.end_line])
                     fh.write(json.dumps(obj, sort_keys=True))
                     fh.write("\n")
             written.append(fname)
@@ -330,10 +333,7 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
                 canonical_string(sc.template).decode("latin-1")
                 for sc in out.schemas
             ],
-            "tables": [
-                {"name": ts.name, "columns": ts.columns, "parent": ts.parent}
-                for sc in out.schemas for ts in sc.tables
-            ],
+            "tables": _table_specs(out.schemas),
             "records": [
                 {"type": m.type_index, "row": m.row_id,
                  "start_line": m.start_line, "end_line": m.end_line,
@@ -350,8 +350,21 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
     return written
 
 
+def _table_specs(schemas: list[TemplateSchema]) -> list[dict]:
+    """The manifest's description of the tables of ``schemas``."""
+    return [{"name": ts.name, "columns": ts.columns, "parent": ts.parent}
+            for sc in schemas for ts in sc.tables]
+
+
+_RECORD_KEYS = ("type", "row", "start_line", "end_line", "start_byte", "end_byte")
+
+
 def read_extracted(directory) -> RelationalOutput:
-    """Load a written extraction back (tables + records; noise is not kept)."""
+    """Load a written extraction back (tables + records; noise is not kept).
+
+    The files may come from outside the program: a malformed manifest, or a
+    table file that does not hold its table, raises ValueError.
+    """
     from .templates import parse_canonical
 
     mpath = os.path.join(directory, "_manifest.json")
@@ -360,19 +373,39 @@ def read_extracted(directory) -> RelationalOutput:
             manifest = json.load(fh)
     except OSError as exc:
         raise OutputError(f"cannot read {mpath}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
+    templates = manifest.get("templates")
+    if not (isinstance(templates, list) and all(isinstance(t, str) for t in templates)):
+        raise ValueError("manifest templates must be a list of strings")
     schemas = [build_schema(i, parse_canonical(t.encode("latin-1")))
-               for i, t in enumerate(manifest["templates"])]
+               for i, t in enumerate(templates)]
+    if manifest.get("tables") != _table_specs(schemas):
+        raise ValueError("manifest tables must be the tables of its templates")
+    source_len = manifest.get("source_len", 0)
+    if type(source_len) is not int:
+        raise ValueError("manifest source_len must be an integer")
     tables = []
-    fks: dict[tuple[str, str], str] = {}
-    for spec in manifest["tables"]:
-        fname = os.path.join(directory, f"{spec['name']}.csv")
-        with open(fname, encoding="latin-1", newline="") as fh:
-            rows = list(csv.reader(fh))
-        tables.append(Table(spec["name"], rows[0], rows[1:]))
-        if spec["parent"]:
-            fks[(spec["name"], "_parent_id")] = spec["parent"]
-    records = [RecordMeta(r["type"], r["row"], r["start_line"], r["end_line"],
-                          r["start_byte"], r["end_byte"])
-               for r in manifest["records"]]
-    return RelationalOutput(tables, fks, [], [], records, schemas,
-                            manifest.get("source_len", 0))
+    for sc in schemas:
+        for ts in sc.tables:
+            fname = os.path.join(directory, f"{ts.name}.csv")
+            with open(fname, encoding="latin-1", newline="") as fh:
+                rows = list(csv.reader(fh))
+            if not rows or any(len(r) != len(ts.columns) for r in rows) \
+                    or rows[0] != ts.columns:
+                raise ValueError(f"{fname} must hold the columns {ts.columns}")
+            tables.append(Table(ts.name, rows[0], rows[1:]))
+    docs = manifest.get("records")
+    if not (isinstance(docs, list) and all(
+            isinstance(r, dict) and all(type(r.get(k)) is int for k in _RECORD_KEYS)
+            for r in docs)):
+        raise ValueError("manifest records must be objects of the integers "
+                         + ", ".join(_RECORD_KEYS))
+    out = RelationalOutput(tables, [], [RecordMeta(*(r[k] for k in _RECORD_KEYS))
+                                        for r in docs], schemas, source_len)
+    for m in out.records:
+        if not (0 <= m.type_index < len(schemas) and 0 <= m.row_id
+                < len(out.table(schemas[m.type_index].tables[0].name).rows)):
+            raise ValueError(f"manifest record of type {m.type_index}, row "
+                             f"{m.row_id}: no such root row")
+    return out

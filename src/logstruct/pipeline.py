@@ -129,15 +129,10 @@ def discover(corpus: Corpus, cfg: PipelineConfig | None = None) -> ExtractionPla
 
         refined = [refine(scorer(parse_canonical(key)), text, L, scorer)
                    for key, _ in ranked]
-        by_key: dict[bytes, ScoredTemplate] = {}
-        for s in refined:
-            old = by_key.get(s.canonical)
-            if old is None or s.total_dl < old.total_dl:
-                by_key[s.canonical] = s
         # Equal description lengths happen when a constant separator can be
         # re-read as a one-value enumerated field; prefer the template that
         # keeps more bytes as structure (fewer placeholders).
-        winner = min(by_key.values(),
+        winner = min(refined,
                      key=lambda s: (s.total_dl, field_count(s.template), s.canonical))
         if winner.total_dl >= noise_only_dl(text) or winner.record_count == 0:
             break

@@ -24,8 +24,10 @@ from .extraction import (
 from .templates import (
     ARRAY,
     LEAF,
+    CompiledTemplate,
     Layout,
     Node,
+    TemplateError,
     canonical_string,
     compile_template,
     layout,
@@ -99,16 +101,20 @@ class SynthSpec:
     seed: int = 0
     noise_len: tuple[int, int] = (8, 40)
 
-    def validate(self) -> None:
+    def validate(self) -> list[CompiledTemplate]:
+        """The compiled templates of a spec that can be generated; else SynthError."""
         if not self.templates:
             raise SynthError("need at least one template")
         if not (0 <= self.noise_fraction < 1):
             raise SynthError("noise_fraction must be in [0, 1)")
+        compiled = []
         for tspec in self.templates:
             if tspec.weight <= 0:
                 raise SynthError("weights must be positive")
-            if not canonical_string(tspec.template).endswith(b"\n"):
-                raise SynthError("templates must end with a newline")
+            try:
+                compiled.append(compile_template(tspec.template))
+            except TemplateError as exc:
+                raise SynthError(str(exc)) from exc
             lay = layout(tspec.template)
             charset = lay.charset
             if len(tspec.fields) != lay.n_leaves:
@@ -127,6 +133,7 @@ class SynthSpec:
             for ar in tspec.arrays:
                 if not (1 <= ar.min_reps <= ar.max_reps):
                     raise SynthError("array reps must satisfy 1 <= min <= max")
+        return compiled
 
 
 def _render_real(scaled: int, exp: int) -> str:
@@ -174,7 +181,7 @@ class SynthResult:
 
 def generate(spec: SynthSpec) -> SynthResult:
     """Emit interleaved records and rejection-sampled noise, with labels."""
-    spec.validate()
+    compiled = spec.validate()
     rng = random.Random(spec.seed)
     k = len(spec.templates)
     weights = [t.weight for t in spec.templates]
@@ -184,7 +191,6 @@ def generate(spec: SynthSpec) -> SynthResult:
     blocks: list = [("record", t) for t in type_seq] + [("noise",)] * noise_n
     rng.shuffle(blocks)
 
-    compiled = [compile_template(t.template) for t in spec.templates]
     rendered: list[tuple] = []  # ("record", type, bytes) | ("noise", None)
     for b in blocks:
         if b[0] == "record":
@@ -230,7 +236,7 @@ def generate(spec: SynthSpec) -> SynthResult:
 
     # Assemble ground truth as an ideal extraction.
     schemas = [build_schema(i, t.template) for i, t in enumerate(spec.templates)]
-    tables_per_type, fks = new_tables(schemas)
+    tables_per_type = new_tables(schemas)
     line_labels: list[tuple] = []
     records: list[tuple[int, int, int]] = []
     metas: list[RecordMeta] = []
@@ -242,7 +248,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         block_bytes = b"".join(lines[ls:le])
         if item[0] == "record":
             t = item[1]
-            rid, _ = emit_record(schemas[t], tables_per_type[t], item[3], item[4])
+            rid = emit_record(schemas[t], tables_per_type[t], item[3], item[4])
             metas.append(RecordMeta(t, rid, line_no, line_no + (le - ls),
                                     offset, offset + len(block_bytes)))
             records.append((t, line_no, line_no + (le - ls)))
@@ -255,9 +261,8 @@ def generate(spec: SynthSpec) -> SynthResult:
         offset += len(block_bytes)
         line_no += le - ls
     data = b"".join(lines)
-    truth = RelationalOutput(
-        [t for group in tables_per_type for t in group], fks, [],
-        noise_entries, metas, schemas, source_len=len(data))
+    truth = RelationalOutput([t for group in tables_per_type for t in group],
+                             noise_entries, metas, schemas, source_len=len(data))
     return SynthResult(data, line_labels, records, truth)
 
 
@@ -283,12 +288,25 @@ def _col(table: Table, name: str, i: int, op: str) -> int:
         raise OpError(f"op {i} ({op}): no column {name!r} in {table.name!r}") from None
 
 
+# op name -> the types of its arguments
+_OP_ARGS = {"Concat": (str, str, str), "GroupConcat": (str, str, str, str),
+            "Trim": (str, str, int, int), "Append": (str, str, str, str),
+            "DeleteCol": (str, str), "DeleteTable": (str,)}
+
+
 def apply_ops(out: RelationalOutput, script: list[list]) -> RelationalOutput:
-    """Apply a script of relational ops to a copy of the tables."""
+    """Apply a script of relational ops to a copy of the tables.  The script
+    may come from outside the program: a malformed one raises OpError."""
+    if not isinstance(script, list):
+        raise OpError("a script must be a list of ops")
     tables = [Table(t.name, list(t.columns), [list(r) for r in t.rows])
               for t in out.tables]
     for i, op in enumerate(script):
-        name, *args = op
+        name, *args = op if isinstance(op, list) and op else [None]
+        types = _OP_ARGS.get(name) if isinstance(name, str) else None
+        if types is None or list(map(type, args)) != list(types):
+            raise OpError(f"op {i}: {op!r} is not an op of {sorted(_OP_ARGS)} "
+                          "with arguments of the types it takes")
         if name == "Concat":
             r, c1, c2 = args
             t = _find_table(tables, r, i, name)
@@ -328,14 +346,12 @@ def apply_ops(out: RelationalOutput, script: list[list]) -> RelationalOutput:
             del t.columns[j]
             for row in t.rows:
                 del row[j]
-        elif name == "DeleteTable":
+        else:  # DeleteTable
             (r,) = args
             _find_table(tables, r, i, name)
             tables = [t for t in tables if t.name != r]
-        else:
-            raise OpError(f"op {i}: unknown operation {name!r}")
-    return RelationalOutput(tables, dict(out.foreign_keys), [], [],
-                            list(out.records), out.schemas, out.source_len)
+    return RelationalOutput(tables, list(out.noise), list(out.records), out.schemas,
+                            out.source_len)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +472,41 @@ def truth_to_json(result: SynthResult) -> dict:
 
 
 def truth_from_json(doc: dict) -> SynthResult:
+    """The truth ``truth_to_json`` wrote.  The document may come from outside
+    the program: a malformed one raises SynthError."""
+    if not isinstance(doc, dict):
+        raise SynthError("truth must be a JSON object")
+    templates = doc.get("templates")
+    if not (isinstance(templates, list) and all(isinstance(t, str) for t in templates)):
+        raise SynthError("truth templates must be a list of strings")
     schemas = [build_schema(i, parse_canonical(t.encode("latin-1")))
-               for i, t in enumerate(doc["templates"])]
+               for i, t in enumerate(templates)]
+    tables_doc = doc.get("tables")
+    if not (isinstance(tables_doc, list) and all(_is_table_doc(t) for t in tables_doc)):
+        raise SynthError("truth tables must be objects with a name, string "
+                         "columns and rows of one string per column")
     tables = [Table(t["name"], list(t["columns"]), [list(r) for r in t["rows"]])
-              for t in doc["tables"]]
-    _, fks = new_tables(schemas)
-    records = [tuple(r) for r in doc["records"]]
+              for t in tables_doc]
+    records_doc = doc.get("records")
+    if not (isinstance(records_doc, list) and all(
+            isinstance(r, list) and len(r) == 3 and all(type(x) is int for x in r)
+            and 0 <= r[0] < len(schemas) for r in records_doc)):
+        raise SynthError("truth records must be [type, start_line, end_line] "
+                         "integer triples of a listed template")
+    labels = doc.get("line_labels", [])
+    if not (isinstance(labels, list) and all(isinstance(l, list) for l in labels)):
+        raise SynthError("truth line_labels must be a list of lists")
+    records = [tuple(r) for r in records_doc]
     metas = [RecordMeta(t, 0, s, e, 0, 0) for t, s, e in records]
-    truth = RelationalOutput(tables, fks, [], [], metas, schemas)
-    return SynthResult(b"", [tuple(l) for l in doc.get("line_labels", [])],
-                       records, truth)
+    truth = RelationalOutput(tables, [], metas, schemas)
+    return SynthResult(b"", [tuple(l) for l in labels], records, truth)
+
+
+def _is_table_doc(t) -> bool:
+    if not (isinstance(t, dict) and isinstance(t.get("name"), str)):
+        return False
+    columns, rows = t.get("columns"), t.get("rows")
+    return (isinstance(columns, list) and all(isinstance(c, str) for c in columns)
+            and isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == len(columns)
+                    and all(isinstance(v, str) for v in r) for r in rows))

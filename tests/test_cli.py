@@ -1,9 +1,17 @@
 import json
 import random
+import shutil
 
 import pytest
 
-from conftest import generate, single_type_spec, two_type_spec
+from conftest import (
+    ArraySpec,
+    FieldSpec,
+    generate,
+    make_spec,
+    single_type_spec,
+    two_type_spec,
+)
 from logstruct.cli import main
 from logstruct.synth import spec_to_json
 
@@ -153,6 +161,117 @@ def test_verify_flags_wrong_extraction(tmp_path, capsys):
                  "--truth", str(synth_dir / "truth.json")])
     assert code == 1
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["success"] is False
+
+
+@pytest.fixture(scope="module")
+def verified(tmp_path_factory):
+    """A synthesized corpus with an array type, its truth file, and its
+    extraction with the planted plan, which ``verify`` accepts."""
+    d = tmp_path_factory.mktemp("verified")
+    spec = make_spec([(b'F,"(F,)*F",F\n', [FieldSpec("str"), FieldSpec("int"),
+                                            FieldSpec("str")], [ArraySpec()], 1.0)],
+                     noise_fraction=0.1, record_count=40, seed=43)
+    (d / "spec.json").write_text(json.dumps(spec_to_json(spec)))
+    assert main(["synth", "--spec", str(d / "spec.json"), "--out", str(d / "synth")]) == 0
+    (d / "plan.json").write_text(json.dumps({"rounds": [{"template": 'F,"(F,)*F",F\n'}]}))
+    assert main(["extract", str(d / "synth" / "corpus.log"), "--plan",
+                 str(d / "plan.json"), "--out", str(d / "out")]) == 0
+    assert main(["verify", "--extracted", str(d / "out"),
+                 "--truth", str(d / "synth" / "truth.json")]) == 0
+    return d
+
+
+def _set(doc, path, value):
+    """A copy of ``doc`` with the item at ``path`` (keys and indices) set to
+    ``value``, or deleted when ``value`` is ``_DELETE``."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+_DELETE = object()
+
+
+def _inputs(verified, tmp_path):
+    """A copy of ``verified``'s extraction and truth file, to edit."""
+    shutil.copytree(verified / "out", tmp_path / "out")
+    shutil.copy(verified / "synth" / "truth.json", tmp_path / "truth.json")
+    return tmp_path / "out", tmp_path / "truth.json"
+
+
+def _edit_json(path, edit):
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _verify(out, truth):
+    return main(["verify", "--extracted", str(out), "--truth", str(truth)])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {},
+    lambda m: [],
+    lambda m: _set(m, ["templates", 0], 7),
+    lambda m: _set(m, ["tables"], _DELETE),
+    lambda m: _set(m, ["tables", 1, "parent"], None),
+    lambda m: _set(m, ["source_len"], "12"),
+    lambda m: _set(m, ["records"], {}),
+    lambda m: _set(m, ["records", 0, "start_line"], _DELETE),
+    lambda m: _set(m, ["records", 0, "end_byte"], 1.5),
+    lambda m: _set(m, ["records", 0, "type"], 1),
+    lambda m: _set(m, ["records", 0, "row"], 10**6),
+], ids=["empty", "not-object", "template-int", "no-tables",
+        "table-parent", "source-len-str", "records-object", "record-key-missing",
+        "record-float", "record-type", "record-row"])
+def test_verify_malformed_manifest_rejected(edit, verified, tmp_path, capsys):
+    out, truth = _inputs(verified, tmp_path)
+    _edit_json(out / "_manifest.json", edit)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("csv_text", [
+    "",
+    "_id,_parent_id\r\n0,0\r\n",
+    "_id,_parent_id,f1\r\n0,0\r\n",
+], ids=["empty", "columns", "row-short"])
+def test_verify_table_file_without_its_columns_rejected(csv_text, verified, tmp_path,
+                                                        capsys):
+    out, truth = _inputs(verified, tmp_path)
+    (out / "t0_a0.csv").write_text(csv_text)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: {},
+    lambda t: [],
+    lambda t: _set(t, ["templates"], 7),
+    lambda t: _set(t, ["tables"], _DELETE),
+    lambda t: _set(t, ["tables", 0], "t0"),
+    lambda t: _set(t, ["tables", 0, "name"], 0),
+    lambda t: _set(t, ["tables", 0, "columns"], "_id"),
+    lambda t: _set(t, ["tables", 0, "rows", 0], ["0"]),
+    lambda t: _set(t, ["tables", 0, "rows", 0, 1], 5),
+    lambda t: _set(t, ["records", 0, 0], 3),
+    lambda t: _set(t, ["line_labels"], [7]),
+    lambda t: _set(t, ["script"], 5),
+    lambda t: _set(t, ["script"], [5]),
+    lambda t: _set(t, ["script"], [["Trim", "t0", "f0", "1", 0]]),
+], ids=["empty", "not-object", "templates-int", "no-tables", "table-str",
+        "table-name-int", "columns-str", "row-short", "value-int",
+        "record-type", "labels-int", "script-int", "script-op-int", "script-arg-str"])
+def test_verify_malformed_truth_rejected(edit, verified, tmp_path, capsys):
+    out, truth = _inputs(verified, tmp_path)
+    _edit_json(truth, edit)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_threads_do_not_change_output_bytes(tmp_path):

@@ -330,6 +330,16 @@ class TestWriters:
         obj = json.loads(lines[0])
         assert obj["f0"] == "x" and obj["f2"] == "y"
         assert obj["a0"] == ["1", "2"]
+        # an array whose body is not one field holds objects; the keys are
+        # sorted, and every record's object is on its own line in text order
+        out = extract_all(corpus_from_bytes(b"noise\n1;2:a,3;4;5:b.\n7:c.\n"),
+                          plan_of(b"((F;)*F:F,)*(F;)*F:F.\n"))
+        write_output(out, tmp_path, "json")
+        assert (tmp_path / "records.ndjson").read_text() == (
+            '{"_row": 0, "_span": [1, 2], "_type": "t0", "a0": [{"a1": ["1", "2"], '
+            '"f1": "a"}, {"a1": ["3", "4", "5"], "f1": "b"}]}\n'
+            '{"_row": 1, "_span": [2, 3], "_type": "t0", "a0": [{"a1": ["7"], '
+            '"f1": "c"}]}\n')
 
     def test_noise_sidecar_format(self, tmp_path):
         out = extract_all(corpus_from_bytes(b"a,b\nnoise here\n"), plan_of(b"F,F\n"))
@@ -346,6 +356,27 @@ class TestWriters:
             {t.name: t.rows for t in out.tables}
         assert [(m.type_index, m.start_line, m.end_line) for m in back.records] == \
             [(m.type_index, m.start_line, m.end_line) for m in out.records]
+
+    def test_written_output_read_back_writes_the_same_files(self, tmp_path):
+        # every file but the noise sidecar (read_extracted keeps no noise)
+        # is written from the tables and the record index alone
+        res = generate(make_spec(
+            [(b"((F;)*F:F,)*(F;)*F:F.\n", [FieldSpec("int"), FieldSpec("str")],
+              [ArraySpec(1, 3), ArraySpec(1, 3)], 0.5),
+             (b'F,"(F,)*F",F\n', [FieldSpec("str"), FieldSpec("int"), FieldSpec("str")],
+              [ArraySpec(1, 4)], 0.5)], noise_fraction=0.1, record_count=60, seed=3))
+        out = extract_all(corpus_from_bytes(res.data),
+                          plan_of(b"((F;)*F:F,)*(F;)*F:F.\n", b'F,"(F,)*F",F\n'))
+        assert {m.type_index for m in out.records} == {0, 1}
+        write_output(out, tmp_path / "a", "both")
+        write_output(read_extracted(tmp_path / "a"), tmp_path / "b", "both")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["_manifest.json", "_noise.txt", "records.ndjson", "t0.csv",
+                         "t0_a0.csv", "t0_a1.csv", "t1.csv", "t1_a0.csv"]
+        for name in names:
+            if name != "_noise.txt":
+                assert (tmp_path / "b" / name).read_bytes() == \
+                    (tmp_path / "a" / name).read_bytes(), name
 
     def test_bad_format_rejected(self, tmp_path):
         out = extract_all(corpus_from_bytes(b"a,b\n"), plan_of(b"F,F\n"))

@@ -106,8 +106,7 @@ def mini_output():
                    ["3", "1", "7"]])
     from logstruct.extraction import RelationalOutput, build_schema
     schema = build_schema(0, parse_canonical(b'F,"(F,)*F",F\n'))
-    return RelationalOutput([root, child], {("t0_a0", "_parent_id"): "t0"},
-                            [], [], [], [schema])
+    return RelationalOutput([root, child], [], [], [schema])
 
 
 class TestOps:

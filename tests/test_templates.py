@@ -275,8 +275,8 @@ def test_compiled_matcher_agrees_with_extraction(rt):
     _, values, arities = hit
     assert render_record(ct.template, values, arities) == raw
     schema = build_schema(0, ct.template)
-    tables_per_type, fks = new_tables([schema])
-    row_id, _ = emit_record(schema, tables_per_type[0], values, arities)
-    out = RelationalOutput(tables_per_type[0], fks, [], [],
-                           [RecordMeta(0, row_id, 0, 1, 0, len(raw))], [schema])
+    (tables,) = new_tables([schema])
+    row_id = emit_record(schema, tables, values, arities)
+    out = RelationalOutput(tables, [], [RecordMeta(0, row_id, 0, 1, 0, len(raw))],
+                           [schema])
     assert record_values(out, out.records[0]) == (values, arities)
