@@ -15,7 +15,7 @@ from .generation import (
 )
 from .pipeline import ExtractionPlan, PipelineConfig, SamplingConfig, discover, report
 from .pruning import PruningConfig, assimilation_score, prune
-from .refinement import refine, shift_structure, unfold_arrays
+from .refinement import refine, shift_structure
 from .scoring import (
     FieldType,
     ParseResult,

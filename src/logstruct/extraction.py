@@ -360,10 +360,11 @@ _RECORD_KEYS = ("type", "row", "start_line", "end_line", "start_byte", "end_byte
 
 
 def read_extracted(directory) -> RelationalOutput:
-    """Load a written extraction back (tables + records; noise is not kept).
+    """Load a written extraction back: tables, records and noise.
 
-    The files may come from outside the program: a malformed manifest, or a
-    table file that does not hold its table, raises ValueError.
+    The files may come from outside the program: a malformed manifest or
+    noise sidecar, or a table file that does not hold its table, raises
+    ValueError.
     """
     from .templates import parse_canonical
 
@@ -401,11 +402,36 @@ def read_extracted(directory) -> RelationalOutput:
             for r in docs)):
         raise ValueError("manifest records must be objects of the integers "
                          + ", ".join(_RECORD_KEYS))
-    out = RelationalOutput(tables, [], [RecordMeta(*(r[k] for k in _RECORD_KEYS))
-                                        for r in docs], schemas, source_len)
+    noise = _read_noise(os.path.join(directory, "_noise.txt"), source_len)
+    out = RelationalOutput(tables, noise, [RecordMeta(*(r[k] for k in _RECORD_KEYS))
+                                           for r in docs], schemas, source_len)
     for m in out.records:
         if not (0 <= m.type_index < len(schemas) and 0 <= m.row_id
                 < len(out.table(schemas[m.type_index].tables[0].name).rows)):
             raise ValueError(f"manifest record of type {m.type_index}, row "
                              f"{m.row_id}: no such root row")
     return out
+
+
+def _read_noise(fname: str, source_len: int) -> list[tuple[int, bytes]]:
+    """The ``(offset, line)`` entries of a noise sidecar.  Each line ends in
+    a newline unless it ends the source, as ``write_output`` wrote it."""
+    with open(fname, "rb") as fh:
+        entries = fh.read().split(b"\n")
+    if entries.pop():
+        raise ValueError(f"{fname} must end with a newline")
+    noise = []
+    end = 0  # the end of the previous line
+    for n, entry in enumerate(entries, 1):
+        offset, tab, text = entry.partition(b"\t")
+        if not (tab and offset.isdigit()):
+            raise ValueError(f"{fname} line {n}: must be an offset, a tab and the line")
+        start = int(offset)
+        if not end <= start < source_len or start + len(text) > source_len:
+            raise ValueError(f"{fname} line {n}: offset {start} must follow the "
+                             f"previous line and lie within the source")
+        if start + len(text) < source_len:
+            text += b"\n"
+        noise.append((start, text))
+        end = start + len(text)
+    return noise

@@ -3,16 +3,17 @@
 Every pair of line boundaries at most ``max_span_lines`` apart is treated as
 a potential record; its record template is extracted under the active
 formatting charset, reduced to a minimal structure template, and accumulated
-into a hash table keyed by canonical string.  Bins below the coverage
-threshold are discarded.  Candidates stay canonical strings: no template
-tree is built here, only for the few that pruning keeps.
+into a table keyed by canonical string.  Bins below the coverage threshold
+are discarded.  Candidates stay canonical strings: no template tree is built
+here, only for the few that pruning keeps.
 
-The scan is vectorized: per-line template hashes are computed with a rolling
-polynomial hash over the whole buffer, and spans are grouped by window
-hashes.  One span template per group goes to the search's symbol pool
-(``templates._SymbolPool.reduce_template``), which returns the canonical
-string of its reduction and reduces each distinct line and span template
-only once per search.
+Spans are grouped exactly.  Each distinct line template of a charset gets an
+id; the spans of ``w`` lines are ranked by the pair (rank of their first
+``w - 1`` lines, id of their last line), so two spans share a group exactly
+when their line templates are equal.  One span template per group goes to
+the search's symbol pool (``templates._SymbolPool.reduce_template``), which
+returns the canonical string of its reduction and reduces each distinct line
+and span template only once per search.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ import numpy as np
 
 from .corpus import TextView
 from .templates import ENUMERABLE_CANDIDATE_BYTES, FIELD_BYTE, NEWLINE, _SymbolPool
-
-_B = np.uint64(1099511628211)  # FNV prime, odd so it is invertible mod 2^64
-_BINV = np.uint64(pow(1099511628211, -1, 2**64))
-_C = np.uint64(0x9E3779B97F4A7C15 | 1)
-
 
 MAX_CHARSET_SIZE = 16  # exhaustive-search guard on 2^c blowup
 MAX_KEYS_PER_WINDOW = 65536  # scalability cap on distinct span keys
@@ -92,13 +88,6 @@ class _GenContext:
         self.offsets = view.offsets.astype(np.int64)
         self.n = view.n_lines
         self.missing_newline = len(view.data) > 0 and view.data[-1] != NEWLINE
-        size = len(view.data) + 2
-        base = np.full(size, _B, dtype=np.uint64)
-        base[0] = 1
-        self.powB = np.cumprod(base)
-        inv = np.full(size, _BINV, dtype=np.uint64)
-        inv[0] = 1
-        self.ipowB = np.cumprod(inv)
         present = np.unique(self.arr)
         self.present_specials = tuple(
             int(b) for b in present if int(b) in ENUMERABLE_CANDIDATE_BYTES
@@ -118,63 +107,51 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
     table[NEWLINE] = True
     mask = table[ctx.arr]
 
-    # Per-position template bytes: charset bytes verbatim, first byte of each
-    # field run becomes the placeholder.
-    keep_field_start = np.empty_like(mask)
-    keep_field_start[0] = True
-    keep_field_start[1:] = mask[:-1]
-    sel = mask | (~mask & keep_field_start)
-    out_bytes = np.where(mask, ctx.arr, np.uint8(FIELD_BYTE))
-    tb = out_bytes[sel]
-    sel_cum = np.concatenate(([0], np.cumsum(sel)))
-    tstarts = sel_cum[ctx.offsets]
-
-    # Rolling hash of each line's template via prefix sums.
-    contrib = tb.astype(np.uint64) * ctx.ipowB[: len(tb)]
-    S = np.concatenate((np.zeros(1, dtype=np.uint64), np.cumsum(contrib)))
-    ends = tstarts[1:]
-    starts = tstarts[:-1]
-    hline = (S[ends] - S[starts]) * ctx.powB[ends - 1]
-    if ctx.missing_newline:
-        hline = hline.copy()
-        fixed = (int(hline[-1]) * int(_B) + NEWLINE) & 0xFFFFFFFFFFFFFFFF
-        hline[-1] = np.uint64(fixed)
+    # Template text: charset bytes verbatim, the first byte of each field run
+    # becomes the placeholder; the last line gets its missing newline.
+    field_start = np.empty_like(mask)
+    field_start[0] = True
+    field_start[1:] = mask[:-1]
+    tb = np.where(mask, ctx.arr, np.uint8(FIELD_BYTE))[mask | field_start].tobytes()
+    lines = (tb + b"\n" if ctx.missing_newline else tb).split(b"\n")[:-1]
+    ids = {t: i for i, t in enumerate(dict.fromkeys(lines))}
+    line_id = np.fromiter(map(ids.__getitem__, lines), dtype=np.int64, count=n)
+    has_field = np.array([FIELD_BYTE in t for t in ids])[line_id]
+    hasFp = np.concatenate(([0], np.cumsum(has_field)))
 
     maskp = np.concatenate(([0], np.cumsum(mask)))
     offs = ctx.offsets
-    line_len = offs[1:] - offs[:-1]
-    line_charset = maskp[offs[1:]] - maskp[offs[:-1]]
-    hasF = (line_len - line_charset) > 0
-    hasFp = np.concatenate(([0], np.cumsum(hasF)))
-
     threshold = cfg.alpha * len(ctx.view.data) / 100.0
     bins: dict[bytes, list] = {}  # key -> [(w, span start lines)]
 
-    h = None
+    # span_key[i] == span_key[j] exactly when spans i and j of w lines have
+    # equal line templates.
+    span_key = line_id
     for w in range(1, min(cfg.max_span_lines, n) + 1):
-        if w == 1:
-            h = hline.copy()
-        else:
-            h = h[: n - w + 1] * _C + hline[w - 1 :]
+        if w > 1:
+            # gid < n - w + 2 and line ids < n, so the pair fits in int64.
+            span_key = gid[: n - w + 1] * len(ids) + line_id[w - 1 :]
+        starts_sorted = np.argsort(span_key, kind="stable")
+        ks = span_key[starts_sorted]
+        first = np.concatenate(([True], ks[1:] != ks[:-1]))
+        gid = np.empty_like(starts_sorted)
+        gid[starts_sorted] = np.cumsum(first) - 1  # the rank of span_key[i]
+        bounds = np.flatnonzero(first)
+        counts = np.diff(np.concatenate((bounds, [len(ks)])))
+        # The spans of a group all hold a field, or none does.
         valid = (hasFp[w:] - hasFp[: n - w + 1]) > 0
-        idx = np.flatnonzero(valid)
-        if idx.size == 0:
-            continue
-        hv = h[idx]
-        order = np.argsort(hv, kind="stable")
-        hs = hv[order]
-        bounds = np.flatnonzero(np.concatenate(([True], hs[1:] != hs[:-1])))
-        counts = np.diff(np.concatenate((bounds, [len(hs)])))
+        keep = valid[starts_sorted[bounds]]
+        bounds, counts = bounds[keep], counts[keep]
         n_groups = len(bounds)
-        starts_sorted = idx[order]
 
         if n_groups <= MAX_KEYS_PER_WINDOW:
             proc = range(n_groups)
         else:
-            # Too many distinct keys (noise flood): take groups by span count
-            # until the remaining mass cannot form a threshold-passing bin.
+            # Too many distinct keys (noise flood): take groups by span count,
+            # ties by first start line, until the remaining mass cannot form
+            # a threshold-passing bin.
             approx = counts.astype(np.int64) * w
-            by_mass = np.lexsort((bounds, -approx))
+            by_mass = np.lexsort((starts_sorted[bounds], -approx))
             remaining = int(offs[-1]) * w
             chosen = []
             for g in by_mass:
@@ -188,11 +165,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
         for g in proc:
             b0 = bounds[g]
             first_line = int(starts_sorted[b0])
-            t0 = tstarts[first_line]
-            t1 = tstarts[first_line + w]
-            tpl = tb[t0:t1].tobytes()
-            if ctx.missing_newline and first_line + w == n:
-                tpl += b"\n"
+            tpl = b"\n".join(lines[first_line : first_line + w]) + b"\n"
             key = ctx.symbol_pool.reduce_template(tpl)
             bins.setdefault(key, []).append(
                 (w, starts_sorted[b0 : b0 + int(counts[g])].copy()))

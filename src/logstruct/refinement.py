@@ -95,13 +95,6 @@ def unfold_proposals(st: Node, arity_counts: list[list[int]]) -> list[Node]:
     return out
 
 
-def unfold_arrays(st: Node, view: TextView, max_span_lines: int = 10,
-                  scorer: Scorer | None = None) -> Node:
-    """Accept improving unfoldings until none improves the score."""
-    scorer = scorer or (lambda t: score(view, t, max_span_lines))
-    return _unfold(scorer(st), scorer).template
-
-
 def _unfold(current: ScoredTemplate, scorer: Scorer) -> ScoredTemplate:
     """Take the best strictly improving unfolding until there is none."""
     while True:

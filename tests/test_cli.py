@@ -250,6 +250,23 @@ def test_verify_table_file_without_its_columns_rejected(csv_text, verified, tmp_
 
 
 @pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b"\t", b" ", 1),
+    lambda b: b"x" + b,
+    lambda b: b.splitlines(keepends=True)[0] + b,
+    lambda b: b + b"%d\tpast the end\n" % 10**9,
+    lambda b: b[:-1],
+], ids=["no-tab", "offset-not-int", "offsets-repeat", "offset-past-end",
+        "unterminated"])
+def test_verify_malformed_noise_sidecar_rejected(edit, verified, tmp_path, capsys):
+    out, truth = _inputs(verified, tmp_path)
+    noise = out / "_noise.txt"
+    assert noise.read_bytes()
+    noise.write_bytes(edit(noise.read_bytes()))
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
     lambda t: {},
     lambda t: [],
     lambda t: _set(t, ["templates"], 7),

@@ -358,8 +358,8 @@ class TestWriters:
             [(m.type_index, m.start_line, m.end_line) for m in out.records]
 
     def test_written_output_read_back_writes_the_same_files(self, tmp_path):
-        # every file but the noise sidecar (read_extracted keeps no noise)
-        # is written from the tables and the record index alone
+        # every file is written from the tables, the noise and the record
+        # index alone
         res = generate(make_spec(
             [(b"((F;)*F:F,)*(F;)*F:F.\n", [FieldSpec("int"), FieldSpec("str")],
               [ArraySpec(1, 3), ArraySpec(1, 3)], 0.5),
@@ -374,9 +374,19 @@ class TestWriters:
         assert names == ["_manifest.json", "_noise.txt", "records.ndjson", "t0.csv",
                          "t0_a0.csv", "t0_a1.csv", "t1.csv", "t1_a0.csv"]
         for name in names:
-            if name != "_noise.txt":
-                assert (tmp_path / "b" / name).read_bytes() == \
-                    (tmp_path / "a" / name).read_bytes(), name
+            assert (tmp_path / "b" / name).read_bytes() == \
+                (tmp_path / "a" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\nnoise\tone\na,b\nc,d",
+        b"a,b\nc,d\nnoise\n\nlast noise",
+        b"a,b\r\nnoise\rhere\r\n\r\na,b\r\nnoise at eof\r\n",
+    ], ids=["no-final-newline", "noise-at-eof", "crlf"])
+    def test_written_output_reconstructs_the_input(self, data, tmp_path):
+        corpus = corpus_from_bytes(data)
+        write_output(extract_all(corpus, plan_of(b"F,F\n")), tmp_path)
+        assert reconstruct(read_extracted(tmp_path)) == corpus.data \
+            == data.replace(b"\r\n", b"\n")
 
     def test_bad_format_rejected(self, tmp_path):
         out = extract_all(corpus_from_bytes(b"a,b\n"), plan_of(b"F,F\n"))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import FieldSpec, generate, make_spec
+from logstruct import generation
 from logstruct.corpus import TextView, corpus_from_bytes
 from logstruct.generation import (
     GenerationConfig,
@@ -17,23 +18,28 @@ from oracles import extract_record_template, reduce_to_structure_template
 NL = ord("\n")
 
 
-def oracle_bins(data, charset, alpha=10.0, max_span=10):
+def oracle_bins(data, charset, alpha=10.0, max_span=10, max_groups=None):
     """Independent span enumeration: reduce every (i, j) window and credit
-    each bin with the byte length of the union of its spans."""
+    each bin with the byte length of the union of its spans.  With
+    ``max_groups``, each window length keeps only that many groups of equal
+    record templates: the most spans first, ties by first start line."""
     tv = TextView.from_bytes(data)
     offs = tv.offsets
     n = tv.n_lines
     spans = {}
-    for i in range(n):
-        for w in range(1, min(max_span, n - i) + 1):
+    for w in range(1, min(max_span, n) + 1):
+        groups = {}
+        for i in range(n - w + 1):
             span = data[offs[i]:offs[i + w]]
             if not span.endswith(b"\n"):
                 span += b"\n"
             rt = extract_record_template(span, charset | {NL})
-            if not rt.valid:
-                continue
-            key = canonical_string(reduce_to_structure_template(rt))
-            spans.setdefault(key, []).append((i, i + w))
+            if rt.valid:
+                groups.setdefault(rt.text, []).append(i)
+        ranked = sorted(groups.items(), key=lambda g: (-len(g[1]), g[1][0]))
+        for text, starts in ranked[:max_groups]:
+            key = canonical_string(reduce_to_structure_template(text))
+            spans.setdefault(key, []).extend((i, i + w) for i in starts)
     full = charset | {NL}
     bins = {}
     for key, occ in spans.items():
@@ -89,8 +95,17 @@ class TestGenForCharset:
             else:
                 lines.append(b"zz%d\n" % rng.randrange(10))
         data = b"".join(lines)
-        for charset in [frozenset(b","), frozenset(b"[] "), frozenset(b",[] ")]:
-            assert got_bins(data, charset) == oracle_bins(data, charset)
+        cases = [(data, frozenset(cs), 10) for cs in (b",", b"[] ", b",[] ")]
+        # a 1,024-byte Thue-Morse line over ",;" and the same line with the
+        # two bytes swapped: every polynomial hash with an odd base modulo
+        # 2^64 gives both the same value
+        a = bytes(b",;"[bin(i).count("1") & 1] for i in range(1024))
+        b = a.translate(bytes.maketrans(b",;", b";,"))
+        cases.append((b"".join(b"%s\nv%d\n" % (line, i) for line in (a, b)
+                               for i in range(40)), frozenset(b",;"), 2))
+        for data, charset, max_span in cases:
+            assert got_bins(data, charset, max_span_lines=max_span) \
+                == oracle_bins(data, charset, max_span=max_span)
 
     def test_oracle_cross_check_multiline_records(self):
         res = generate(make_spec(
@@ -99,6 +114,24 @@ class TestGenForCharset:
             noise_fraction=0.2, record_count=60, seed=4))
         for charset in [frozenset(b"-"), frozenset(b"-= ")]:
             assert got_bins(res.data, charset) == oracle_bins(res.data, charset)
+
+    def test_noise_flood_keeps_the_largest_groups_first_lines_first(self, monkeypatch):
+        # the planted line alternates with noise lines of distinct shapes, so
+        # all but one group per window length hold a single span; the cap
+        # takes the planted group, then the earliest-starting singletons
+        noise = [b"n%s%dx" % (b":" * k, k) for k in range(1, 13)]
+        lines = [b"%d,%d" % (i, i * 7) for i in range(4)]
+        for i, line in enumerate(noise):
+            lines += [line, b"%d,%d" % (i, i * 3)]
+        data = b"\n".join(lines) + b"\n"
+        charset = frozenset(b",:")
+        monkeypatch.setattr(generation, "MAX_KEYS_PER_WINDOW", 3)
+        got = got_bins(data, charset, alpha=0.01, max_span_lines=2)
+        assert got == oracle_bins(data, charset, alpha=0.01, max_span=2,
+                                  max_groups=3)
+        assert got[b"F,F\n"] == oracle_bins(data, charset, alpha=0.01,
+                                             max_span=2)[b"F,F\n"]
+        assert b"F:F\n" in got and b"F::::F\n" not in got
 
     def test_eof_record_treated_newline_terminated(self):
         data = b"a,b\na,b"

@@ -3,13 +3,19 @@ import random
 from conftest import ArraySpec, CountingPattern, FieldSpec, generate, make_spec
 from logstruct import refinement
 from logstruct.corpus import TextView
-from logstruct.refinement import refine, rotations, shift_structure, unfold_arrays
+from logstruct.refinement import refine, rotations, shift_structure
 from logstruct.scoring import parse_with_template, score
 from logstruct.templates import canonical_string, compile_template, parse_canonical
 
 
 def tv(data):
     return TextView.from_bytes(data)
+
+
+def unfold(node, view):
+    """``refine``'s template: for a one-line template, shifting keeps it, so
+    this is the unfolding."""
+    return refine(score(view, node), view).template
 
 
 def csv_corpus(cols=3, n=200, seed=0):
@@ -22,7 +28,7 @@ def csv_corpus(cols=3, n=200, seed=0):
 class TestUnfolding:
     def test_fixed_arity_csv_fully_unfolds(self):
         data = csv_corpus()
-        out = unfold_arrays(parse_canonical(b"(F,)*F\n"), tv(data))
+        out = unfold(parse_canonical(b"(F,)*F\n"), tv(data))
         assert canonical_string(out) == b"F,F,F\n"
 
     def test_partial_unfold_keeps_array_suffix(self):
@@ -36,7 +42,7 @@ class TestUnfolding:
                              for _ in range(rng.randint(1, 6)))
             lines.append(head + b" " + tail + b"\n")
         data = b"".join(lines)
-        out = unfold_arrays(parse_canonical(b"(F )*F\n"), tv(data))
+        out = unfold(parse_canonical(b"(F )*F\n"), tv(data))
         assert canonical_string(out) == b"F F F F (F )*F\n"
 
     def test_varying_arity_keeps_array(self):
@@ -45,7 +51,7 @@ class TestUnfolding:
             b",".join(b"%d" % rng.randrange(10**6)
                       for _ in range(rng.randint(1, 5))) + b"\n"
             for _ in range(300))
-        out = unfold_arrays(parse_canonical(b"(F,)*F\n"), tv(data))
+        out = unfold(parse_canonical(b"(F,)*F\n"), tv(data))
         assert canonical_string(out) == b"(F,)*F\n"
 
     def test_unfolding_never_increases_dl(self):
@@ -54,14 +60,14 @@ class TestUnfolding:
             view = tv(data)
             node = parse_canonical(b"(F,)*F\n")
             before = score(view, node).total_dl
-            after = score(view, unfold_arrays(node, view)).total_dl
+            after = score(view, unfold(node, view)).total_dl
             assert after <= before
 
     def test_unfolding_restricts_language(self):
         data = csv_corpus()
         view = tv(data)
         node = parse_canonical(b"(F,)*F\n")
-        out = unfold_arrays(node, view)
+        out = unfold(node, view)
         before = set(parse_with_template(view, node).record_line_spans)
         after = set(parse_with_template(view, out).record_line_spans)
         assert after <= before
