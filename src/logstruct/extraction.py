@@ -6,6 +6,11 @@ tables).  Each field placeholder maps to exactly one column.  Records are
 found by the scan that scoring uses (see :mod:`logstruct.scoring`); unmatched
 lines go to a noise sidecar, so records plus noise reconstruct the corpus.
 Only tables, noise and the record index are stored; the rest is derived.
+
+``write_output`` writes four kinds of file: the tables as CSV,
+``records.ndjson`` (derived), the noise sidecar ``_noise.txt``, and the
+record index ``_records.csv`` with ``_manifest.json``.  ``read_extracted``
+reads all but ``records.ndjson`` back.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ import gc
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
@@ -289,8 +296,12 @@ def reconstruct(out: RelationalOutput) -> bytes:
 
 
 def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[str]:
-    """Write CSV tables and/or ``records.ndjson`` (per record, its ``_nested``
-    form plus ``_type``, ``_row`` and ``_span``), noise sidecar, and manifest."""
+    """Write the four kinds of file of an extraction: the CSV tables and/or
+    ``records.ndjson`` (per record, its ``_nested`` form plus ``_type``,
+    ``_row`` and ``_span``), the noise sidecar ``_noise.txt``, and the record
+    index ``_records.csv`` (one ``RecordMeta`` per row) with
+    ``_manifest.json`` (``source_len``, templates and tables).  The last
+    three are written in every format."""
     if fmt not in ("csv", "json", "both"):
         raise ValueError("format must be csv, json, or both")
     os.makedirs(directory, exist_ok=True)
@@ -299,15 +310,17 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
     def path(name: str) -> str:
         return os.path.join(directory, name)
 
+    csv_files = [(f"{t.name}.csv", t.columns, t.rows)
+                 for t in out.tables if fmt in ("csv", "both")]
+    csv_files.append(("_records.csv", _RECORD_COLUMNS, map(_record_row, out.records)))
     try:
-        if fmt in ("csv", "both"):
-            for t in out.tables:
-                fname = path(f"{t.name}.csv")
-                with open(fname, "w", encoding="latin-1", newline="") as fh:
-                    w = csv.writer(fh)
-                    w.writerow(t.columns)
-                    w.writerows(t.rows)
-                written.append(fname)
+        for name, columns, rows in csv_files:
+            fname = path(name)
+            with open(fname, "w", encoding="latin-1", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(columns)
+                w.writerows(rows)
+            written.append(fname)
         if fmt in ("json", "both"):
             fname = path("records.ndjson")
             children_index = build_children_index(out)
@@ -334,12 +347,6 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
                 for sc in out.schemas
             ],
             "tables": _table_specs(out.schemas),
-            "records": [
-                {"type": m.type_index, "row": m.row_id,
-                 "start_line": m.start_line, "end_line": m.end_line,
-                 "start_byte": m.start_byte, "end_byte": m.end_byte}
-                for m in out.records
-            ],
         }
         with open(fname, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -356,14 +363,18 @@ def _table_specs(schemas: list[TemplateSchema]) -> list[dict]:
             for sc in schemas for ts in sc.tables]
 
 
-_RECORD_KEYS = ("type", "row", "start_line", "end_line", "start_byte", "end_byte")
+_RECORD_COLUMNS = [f.name for f in fields(RecordMeta)]
+_record_row = attrgetter(*_RECORD_COLUMNS)
 
 
 def read_extracted(directory) -> RelationalOutput:
-    """Load a written extraction back: tables, records and noise.
+    """Load a written extraction back from its tables, ``_records.csv``,
+    ``_noise.txt`` and ``_manifest.json``; ``records.ndjson`` is derived and
+    not read.
 
-    The files may come from outside the program: a malformed manifest or
-    noise sidecar, or a table file that does not hold its table, raises
+    The files may come from outside the program: a malformed manifest,
+    record index or noise sidecar, a table file that does not hold its
+    table, or records and noise that do not tile the source, raise
     ValueError.
     """
     from .templates import parse_canonical
@@ -386,31 +397,55 @@ def read_extracted(directory) -> RelationalOutput:
     source_len = manifest.get("source_len", 0)
     if type(source_len) is not int:
         raise ValueError("manifest source_len must be an integer")
-    tables = []
-    for sc in schemas:
-        for ts in sc.tables:
-            fname = os.path.join(directory, f"{ts.name}.csv")
-            with open(fname, encoding="latin-1", newline="") as fh:
-                rows = list(csv.reader(fh))
-            if not rows or any(len(r) != len(ts.columns) for r in rows) \
-                    or rows[0] != ts.columns:
-                raise ValueError(f"{fname} must hold the columns {ts.columns}")
-            tables.append(Table(ts.name, rows[0], rows[1:]))
-    docs = manifest.get("records")
-    if not (isinstance(docs, list) and all(
-            isinstance(r, dict) and all(type(r.get(k)) is int for k in _RECORD_KEYS)
-            for r in docs)):
-        raise ValueError("manifest records must be objects of the integers "
-                         + ", ".join(_RECORD_KEYS))
+    tables = [Table(ts.name, list(ts.columns),
+                    _read_table(os.path.join(directory, f"{ts.name}.csv"), ts.columns))
+              for sc in schemas for ts in sc.tables]
+    fname = os.path.join(directory, "_records.csv")
+    rows = _read_table(fname, _RECORD_COLUMNS)
+    if not all(map(str.isdecimal, chain.from_iterable(rows))):
+        raise ValueError(f"{fname} must hold non-negative decimal integers")
     noise = _read_noise(os.path.join(directory, "_noise.txt"), source_len)
-    out = RelationalOutput(tables, noise, [RecordMeta(*(r[k] for k in _RECORD_KEYS))
-                                           for r in docs], schemas, source_len)
+    out = RelationalOutput(tables, noise, [RecordMeta(*map(int, r)) for r in rows],
+                           schemas, source_len)
+    root_rows = [len(out.table(sc.tables[0].name).rows) for sc in schemas]
     for m in out.records:
-        if not (0 <= m.type_index < len(schemas) and 0 <= m.row_id
-                < len(out.table(schemas[m.type_index].tables[0].name).rows)):
-            raise ValueError(f"manifest record of type {m.type_index}, row "
+        if not (m.type_index < len(schemas) and m.row_id < root_rows[m.type_index]):
+            raise ValueError(f"{fname}: record of type {m.type_index}, row "
                              f"{m.row_id}: no such root row")
+    _check_tiling(out.records, noise, source_len)
     return out
+
+
+def _read_table(fname: str, columns: list[str]) -> list[list[str]]:
+    """The rows of a CSV file whose header is ``columns`` and whose every
+    row is that wide."""
+    with open(fname, encoding="latin-1", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != columns or any(len(r) != len(columns) for r in rows):
+        raise ValueError(f"{fname} must hold the columns {columns}")
+    return rows[1:]
+
+
+def _check_tiling(records: list[RecordMeta], noise: list[tuple[int, bytes]],
+                  source_len: int) -> None:
+    """Taken in byte order, records and noise lines must each start where
+    the previous piece ended, on the line after it, and end at
+    ``source_len``; a noise entry is one line."""
+    pieces = [(m.start_byte, m.end_byte, m.start_line, m.end_line) for m in records]
+    pieces += [(s, s + len(text), None, None) for s, text in noise]
+    pieces.sort(key=itemgetter(0))
+    end = line = 0
+    for start, stop, first, last in pieces:
+        if first is None:
+            first, last = line, line + 1
+        if not (start == end < stop and first == line < last):
+            raise ValueError(f"records and noise must tile the source: a piece "
+                             f"spans bytes [{start}, {stop}), lines [{first}, "
+                             f"{last}), after byte {end}, line {line}")
+        end, line = stop, last
+    if end != source_len:
+        raise ValueError(f"records and noise end at byte {end}, not at the "
+                         f"source length {source_len}")
 
 
 def _read_noise(fname: str, source_len: int) -> list[tuple[int, bytes]]:

@@ -119,8 +119,11 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
     has_field = np.array([FIELD_BYTE in t for t in ids])[line_id]
     hasFp = np.concatenate(([0], np.cumsum(has_field)))
 
-    maskp = np.concatenate(([0], np.cumsum(mask)))
     offs = ctx.offsets
+    # Formatting bytes before each line start, counted per line: a prefix sum
+    # over every byte would hold 8 bytes per input byte.
+    line_maskp = np.concatenate(
+        ([0], np.cumsum(np.add.reduceat(mask, offs[:-1], dtype=np.int64))))
     threshold = cfg.alpha * len(ctx.view.data) / 100.0
     bins: dict[bytes, list] = {}  # key -> [(w, span start lines)]
 
@@ -147,20 +150,11 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
         if n_groups <= MAX_KEYS_PER_WINDOW:
             proc = range(n_groups)
         else:
-            # Too many distinct keys (noise flood): take groups by span count,
-            # ties by first start line, until the remaining mass cannot form
-            # a threshold-passing bin.
-            approx = counts.astype(np.int64) * w
-            by_mass = np.lexsort((starts_sorted[bounds], -approx))
-            remaining = int(offs[-1]) * w
-            chosen = []
-            for g in by_mass:
-                if len(chosen) >= MAX_KEYS_PER_WINDOW or remaining < threshold:
-                    break
-                chosen.append(int(g))
-                remaining -= int(approx[g])
-            chosen.sort()
-            proc = chosen
+            # Too many distinct keys (noise flood): take the
+            # MAX_KEYS_PER_WINDOW groups with the most spans, ties by first
+            # start line.
+            by_count = np.lexsort((starts_sorted[bounds], -counts))
+            proc = np.sort(by_count[:MAX_KEYS_PER_WINDOW])
 
         for g in proc:
             b0 = bounds[g]
@@ -187,7 +181,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
         seg_start = s_arr[seg_idx]
         seg_end = np.maximum.reduceat(e_arr, seg_idx)
         cov = int((offs[seg_end] - offs[seg_start]).sum())
-        nfc = int((maskp[offs[seg_end]] - maskp[offs[seg_start]]).sum())
+        nfc = int((line_maskp[seg_end] - line_maskp[seg_start]).sum())
         if ctx.missing_newline and seg_end[-1] == n:
             cov += 1
             nfc += 1

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import shutil
@@ -72,7 +73,7 @@ def test_extract_auto_writes_outputs(csv_log, tmp_path, capsys):
     code = main(["extract", str(csv_log), "--auto", "--out", str(out)])
     assert code == 0
     names = {p.name for p in out.iterdir()}
-    assert {"t0.csv", "records.ndjson", "_noise.txt", "_manifest.json",
+    assert {"t0.csv", "records.ndjson", "_noise.txt", "_records.csv", "_manifest.json",
             "plan.json"} <= names
 
 
@@ -221,19 +222,78 @@ def _verify(out, truth):
     lambda m: _set(m, ["tables"], _DELETE),
     lambda m: _set(m, ["tables", 1, "parent"], None),
     lambda m: _set(m, ["source_len"], "12"),
-    lambda m: _set(m, ["records"], {}),
-    lambda m: _set(m, ["records", 0, "start_line"], _DELETE),
-    lambda m: _set(m, ["records", 0, "end_byte"], 1.5),
-    lambda m: _set(m, ["records", 0, "type"], 1),
-    lambda m: _set(m, ["records", 0, "row"], 10**6),
 ], ids=["empty", "not-object", "template-int", "no-tables",
-        "table-parent", "source-len-str", "records-object", "record-key-missing",
-        "record-float", "record-type", "record-row"])
+        "table-parent", "source-len-str"])
 def test_verify_malformed_manifest_rejected(edit, verified, tmp_path, capsys):
     out, truth = _inputs(verified, tmp_path)
     _edit_json(out / "_manifest.json", edit)
     assert _verify(out, truth) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _set_cell(rows, row, column, value):
+    """A copy of the CSV ``rows`` (the header first) with the cell of
+    ``column`` in ``rows[row]`` set to ``value``, or to ``value(cell)``."""
+    rows = [list(r) for r in rows]
+    col = rows[0].index(column)
+    rows[row][col] = value(rows[row][col]) if callable(value) else value
+    return rows
+
+
+def _swap_line_spans(rows):
+    """A copy of the CSV ``rows`` in which the first two records exchange
+    their line spans."""
+    rows = [list(r) for r in rows]
+    for col in (rows[0].index("start_line"), rows[0].index("end_line")):
+        rows[1][col], rows[2][col] = rows[2][col], rows[1][col]
+    return rows
+
+
+def _shift(delta):
+    return lambda cell: str(int(cell) + delta)
+
+
+def _edit_records(out, edit):
+    path = out / "_records.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda r: _set_cell(r, 0, "type_index", "type"),
+    lambda r: r[:1] + [r[1][:-1]] + r[2:],
+    lambda r: _set_cell(r, 1, "end_byte", "1.5"),
+    lambda r: _set_cell(r, 1, "start_line", "-1"),
+    lambda r: _set_cell(r, 1, "type_index", "1"),
+    lambda r: _set_cell(r, 1, "row_id", str(10**6)),
+], ids=["missing", "header", "row-short", "float", "negative", "type", "row"])
+def test_verify_malformed_record_index_rejected(edit, verified, tmp_path, capsys):
+    out, truth = _inputs(verified, tmp_path)
+    if edit is None:
+        (out / "_records.csv").unlink()
+    else:
+        _edit_records(out, edit)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: _set_cell(r, 2, "start_byte", _shift(-3)),
+    lambda r: _set_cell(r, 1, "start_byte", _shift(3)),
+    lambda r: _set_cell(r, -1, "end_byte", str(10**9)),
+    _swap_line_spans,
+], ids=["overlap", "gap", "past-end", "line-span"])
+def test_verify_records_that_do_not_tile_the_source_rejected(edit, verified, tmp_path,
+                                                             capsys):
+    # records and noise lines, in byte order, must follow each other without
+    # a gap or an overlap, in bytes and in lines, and end at source_len
+    out, truth = _inputs(verified, tmp_path)
+    _edit_records(out, edit)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: records and noise")
 
 
 @pytest.mark.parametrize("csv_text", [

@@ -326,6 +326,8 @@ class TestWriters:
     def test_ndjson_denormalized_form(self, tmp_path):
         out = extract_all(corpus_from_bytes(b'x,"1,2",y\n'), plan_of(b'F,"(F,)*F",F\n'))
         write_output(out, tmp_path, "json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["_manifest.json", "_noise.txt", "_records.csv", "records.ndjson"]
         lines = (tmp_path / "records.ndjson").read_text().splitlines()
         obj = json.loads(lines[0])
         assert obj["f0"] == "x" and obj["f2"] == "y"
@@ -371,8 +373,8 @@ class TestWriters:
         write_output(out, tmp_path / "a", "both")
         write_output(read_extracted(tmp_path / "a"), tmp_path / "b", "both")
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert names == ["_manifest.json", "_noise.txt", "records.ndjson", "t0.csv",
-                         "t0_a0.csv", "t0_a1.csv", "t1.csv", "t1_a0.csv"]
+        assert names == ["_manifest.json", "_noise.txt", "_records.csv", "records.ndjson",
+                         "t0.csv", "t0_a0.csv", "t0_a1.csv", "t1.csv", "t1_a0.csv"]
         for name in names:
             assert (tmp_path / "b" / name).read_bytes() == \
                 (tmp_path / "a" / name).read_bytes(), name

@@ -133,6 +133,18 @@ class TestGenForCharset:
                                              max_span=2)[b"F,F\n"]
         assert b"F:F\n" in got and b"F::::F\n" not in got
 
+    def test_noise_flood_cap_alone_limits_the_groups(self, monkeypatch):
+        # one shape more than the cap: the three largest groups are taken
+        # even though the first alone leaves less than the threshold's mass
+        lines = [b"d,d,d;"] * 50 + [b"d,d,d,d;"] * 30 + [b"d,d,d,d,d;"] * 20
+        random.Random(0).shuffle(lines)
+        data = b"\n".join(lines + [b"x"]) + b"\n"
+        charset = frozenset(b",;")
+        monkeypatch.setattr(generation, "MAX_KEYS_PER_WINDOW", 3)
+        got = got_bins(data, charset, alpha=95, max_span_lines=1)
+        assert got == oracle_bins(data, charset, alpha=95, max_span=1, max_groups=3) \
+            == {b"(F,)*F;\n": (840, 470)}
+
     def test_eof_record_treated_newline_terminated(self):
         data = b"a,b\na,b"
         got = got_bins(data, frozenset(b","))

@@ -10,19 +10,37 @@ With a ``plan.json`` (a report as ``logstruct discover`` writes it) each log
 is extracted with that plan only, as the ``extract_bulk`` benchmark workload
 does; discovering that workload's 3 MB input takes many minutes.  The
 outputs of an extraction are every file ``write_output`` writes and the
-``reconstruct()`` bytes.  Lines read ``<sha256>  <input dir>/<log>/<artifact>``.
+``reconstruct()`` bytes.  Lines read ``<sha256>  <name>/<log>/<artifact>``,
+where ``<name>`` is the input directory's own name, so a listing does not
+depend on where the inputs were written.
 
-To check that a change keeps every output, run the tool over the same
-input directories once with the old source and once with the new, and
-``diff`` the two listings.  ``--write-synthetic DIR`` writes a few small
-corpora (arrays, nested arrays, a multi-line array record, an array with a
-newline separator, two types, a log without its final newline, a log that
-starts in the middle of a two-line record, where structure shifting has two
-rotations to compare, and the three short record types of the
-``extract_bulk`` workload, whose discovery is mostly array reduction) into
-``DIR/<name>/`` for discovery and again, with a ``plan.json`` of the
-planted templates, into ``DIR/<name>-planted/``.  Write them once, with
-either source, and pass their directories to both runs.
+``tools/digests.txt`` is the expected listing over the ``--write-synthetic``
+corpora and the benchmark's tiny seed-1 inputs, and CI diffs one run of the
+tool against it.  A change that alters an output on purpose regenerates it:
+
+    python3 tools/output_digests.py --src src --write-synthetic DIR
+    for w in discover_small discover_large extract_bulk; do
+        python3 bench/workloads.py --workload $w --seed 1 --scale tiny \
+            --src src --out DIR/bench_$w
+    done
+    python3 tools/output_digests.py --src src DIR/* > tools/digests.txt
+
+and reviews ``git diff tools/digests.txt``: every changed, added or removed
+line must name an artifact the change meant to alter, and the change says
+why each one moved.  Any other line that moved is a defect.
+
+To compare two sources directly, run the tool over the same input
+directories once with each and ``diff`` the two listings.
+
+``--write-synthetic DIR`` writes a few small corpora (arrays, nested arrays,
+a multi-line array record, an array with a newline separator, two types, a
+log without its final newline, a log that starts in the middle of a
+two-line record, where structure shifting has two rotations to compare, and
+the three short record types of the ``extract_bulk`` workload, whose
+discovery is mostly array reduction) into ``DIR/<name>/`` for discovery and
+again, with a ``plan.json`` of the planted templates, into
+``DIR/<name>-planted/``.  Write them once, with either source, and pass
+their directories to both runs.
 """
 
 from __future__ import annotations
@@ -111,7 +129,7 @@ def digests(ls, input_dir: str):
         with open(plan_path, encoding="utf-8") as fh:
             plan = ls.pipeline.plan_from_report(json.load(fh))
     for log in sorted(glob.glob(os.path.join(input_dir, "*.log"))):
-        name = os.path.join(input_dir, os.path.basename(log))
+        name = f"{os.path.basename(os.path.normpath(input_dir))}/{os.path.basename(log)}"
         corpus = ls.corpus.load(log)
         applied = plan
         if plan is None:
@@ -141,7 +159,7 @@ def main(argv=None) -> int:
     if args.write_synthetic:
         write_synthetic(ls, args.write_synthetic)
         return 0
-    for input_dir in args.inputs:
+    for input_dir in sorted(args.inputs):
         for digest, name in digests(ls, input_dir):
             print(f"{digest}  {name}", flush=True)
     return 0
