@@ -22,7 +22,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
@@ -373,9 +373,8 @@ def read_extracted(directory) -> RelationalOutput:
     not read.
 
     The files may come from outside the program: a malformed manifest,
-    record index or noise sidecar, a table file that does not hold its
-    table, or records and noise that do not tile the source, raise
-    ValueError.
+    record index or noise sidecar, or a table file that does not hold its
+    table, raises ValueError.
     """
     from .templates import parse_canonical
 
@@ -412,7 +411,6 @@ def read_extracted(directory) -> RelationalOutput:
         if not (m.type_index < len(schemas) and m.row_id < root_rows[m.type_index]):
             raise ValueError(f"{fname}: record of type {m.type_index}, row "
                              f"{m.row_id}: no such root row")
-    _check_tiling(out.records, noise, source_len)
     return out
 
 
@@ -424,28 +422,6 @@ def _read_table(fname: str, columns: list[str]) -> list[list[str]]:
     if not rows or rows[0] != columns or any(len(r) != len(columns) for r in rows):
         raise ValueError(f"{fname} must hold the columns {columns}")
     return rows[1:]
-
-
-def _check_tiling(records: list[RecordMeta], noise: list[tuple[int, bytes]],
-                  source_len: int) -> None:
-    """Taken in byte order, records and noise lines must each start where
-    the previous piece ended, on the line after it, and end at
-    ``source_len``; a noise entry is one line."""
-    pieces = [(m.start_byte, m.end_byte, m.start_line, m.end_line) for m in records]
-    pieces += [(s, s + len(text), None, None) for s, text in noise]
-    pieces.sort(key=itemgetter(0))
-    end = line = 0
-    for start, stop, first, last in pieces:
-        if first is None:
-            first, last = line, line + 1
-        if not (start == end < stop and first == line < last):
-            raise ValueError(f"records and noise must tile the source: a piece "
-                             f"spans bytes [{start}, {stop}), lines [{first}, "
-                             f"{last}), after byte {end}, line {line}")
-        end, line = stop, last
-    if end != source_len:
-        raise ValueError(f"records and noise end at byte {end}, not at the "
-                         f"source length {source_len}")
 
 
 def _read_noise(fname: str, source_len: int) -> list[tuple[int, bytes]]:

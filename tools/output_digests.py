@@ -16,7 +16,10 @@ depend on where the inputs were written.
 
 ``tools/digests.txt`` is the expected listing over the ``--write-synthetic``
 corpora and the benchmark's tiny seed-1 inputs, and CI diffs one run of the
-tool against it.  A change that alters an output on purpose regenerates it:
+tool against it.  The listing was made with Python 3.11 and NumPy 2.4.6,
+and the CI step installs that NumPy before it runs the tool; regenerate
+the listing with the NumPy the step pins, and change the two together.  A
+change that alters an output on purpose regenerates it:
 
     python3 tools/output_digests.py --src src --write-synthetic DIR
     for w in discover_small discover_large extract_bulk; do
