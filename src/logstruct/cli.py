@@ -9,7 +9,13 @@ import sys
 
 from . import __version__
 from .corpus import CorpusError, load
-from .extraction import OutputError, extract_all, read_extracted, write_output
+from .extraction import (
+    OutputError,
+    extract_all,
+    read_extracted,
+    reconstruct,
+    write_output,
+)
 from .generation import GenerationConfig, SearchSpaceError
 from .pipeline import (
     PipelineConfig,
@@ -22,7 +28,6 @@ from .pipeline import (
 )
 from .synth import (
     SynthError,
-    apply_ops,
     generate,
     spec_from_json,
     truth_from_json,
@@ -134,8 +139,8 @@ def _cmd_extract(args) -> int:
 def _cmd_synth(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         doc = json.load(fh)
-    script = doc.pop("script", [])
     spec = spec_from_json(doc)
+    script = doc.get("script", [])
     result = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "corpus.log"), "wb") as fh:
@@ -158,6 +163,7 @@ def _cmd_verify(args) -> int:
     else:
         script = truth_doc.get("script", [])
     extracted = read_extracted(args.extracted)
+    reconstruct(extracted)  # checks that records and noise tile the source
     ok, diff = verify_success(extracted, truth, script)
     print(json.dumps({"success": ok, "diff": diff}, sort_keys=True))
     return EXIT_OK if ok else EXIT_FAIL

@@ -7,10 +7,10 @@ found by the scan that scoring uses (see :mod:`logstruct.scoring`); unmatched
 lines go to a noise sidecar, so records plus noise reconstruct the corpus.
 Only tables, noise and the record index are stored; the rest is derived.
 
-``write_output`` writes four kinds of file: the tables as CSV,
-``records.ndjson`` (derived), the noise sidecar ``_noise.txt``, and the
-record index ``_records.csv`` with ``_manifest.json``.  ``read_extracted``
-reads all but ``records.ndjson`` back.
+``write_output`` writes the stored form in every format: the tables as CSV,
+the noise sidecar ``_noise.txt``, and the record index ``_records.csv`` with
+``_manifest.json``; ``records.ndjson`` (derived) unless the format is
+``csv``.  ``read_extracted`` reads the stored form back.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
@@ -277,18 +277,40 @@ def build_children_index(out: RelationalOutput) -> dict:
 
 def reconstruct(out: RelationalOutput) -> bytes:
     """Re-serialize records from the tables plus noise; byte-identical to the
-    normalized corpus (modulo a final newline absent at EOF)."""
-    pieces: list[tuple[int, bytes]] = list(out.noise)
+    normalized corpus (modulo a final newline absent at EOF).
+
+    Taken in byte order, records and noise lines must tile the source: each
+    starts where the previous piece ended and on the line after it, a record
+    renders to ``end_byte - start_byte`` bytes (one more at an EOF without
+    a final newline), and the last piece ends at ``source_len``.  Otherwise
+    ValueError."""
+    pieces: list[tuple[int, RecordMeta | None, bytes]] = [
+        (start, None, text) for start, text in out.noise]
     idx = build_children_index(out)
     for meta in out.records:
         values, arities = record_values(out, meta, idx)
         schema = out.schemas[meta.type_index]
         rendered = render_record(schema.template, values, arities)
-        if meta.end_byte - meta.start_byte == len(rendered) - 1:
+        if (meta.end_byte == out.source_len
+                and meta.end_byte - meta.start_byte == len(rendered) - 1):
             rendered = rendered[:-1]  # record at EOF without trailing newline
-        pieces.append((meta.start_byte, rendered))
-    pieces.sort(key=lambda p: p[0])
-    return b"".join(p[1] for p in pieces)
+        pieces.append((meta.start_byte, meta, rendered))
+    pieces.sort(key=itemgetter(0))
+    end = line = 0
+    for start, meta, text in pieces:
+        first, last = ((line, line + 1) if meta is None
+                       else (meta.start_line, meta.end_line))
+        if not (start == end and first == line < last) or (
+                meta is not None and meta.end_byte != start + len(text)):
+            kind = "noise line" if meta is None else "record"
+            raise ValueError(f"reconstruct: a {kind} of {len(text)} bytes at "
+                             f"byte {start}, lines [{first}, {last}), follows "
+                             f"byte {end}, line {line}")
+        end, line = start + len(text), last
+    if end != out.source_len:
+        raise ValueError(f"reconstruct: records and noise end at byte {end}, "
+                         f"not at the source length {out.source_len}")
+    return b"".join(text for _, _, text in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +318,12 @@ def reconstruct(out: RelationalOutput) -> bytes:
 
 
 def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[str]:
-    """Write the four kinds of file of an extraction: the CSV tables and/or
+    """Write the files of an extraction: in every format its stored form,
+    the CSV tables, the noise sidecar ``_noise.txt`` and the record index
+    ``_records.csv`` (one ``RecordMeta`` per row) with ``_manifest.json``
+    (``source_len``, templates and tables); unless ``fmt`` is ``csv``, also
     ``records.ndjson`` (per record, its ``_nested`` form plus ``_type``,
-    ``_row`` and ``_span``), the noise sidecar ``_noise.txt``, and the record
-    index ``_records.csv`` (one ``RecordMeta`` per row) with
-    ``_manifest.json`` (``source_len``, templates and tables).  The last
-    three are written in every format."""
+    ``_row`` and ``_span``)."""
     if fmt not in ("csv", "json", "both"):
         raise ValueError("format must be csv, json, or both")
     os.makedirs(directory, exist_ok=True)
@@ -310,8 +332,7 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
     def path(name: str) -> str:
         return os.path.join(directory, name)
 
-    csv_files = [(f"{t.name}.csv", t.columns, t.rows)
-                 for t in out.tables if fmt in ("csv", "both")]
+    csv_files = [(f"{t.name}.csv", t.columns, t.rows) for t in out.tables]
     csv_files.append(("_records.csv", _RECORD_COLUMNS, map(_record_row, out.records)))
     try:
         for name, columns, rows in csv_files:
@@ -321,7 +342,7 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
                 w.writerow(columns)
                 w.writerows(rows)
             written.append(fname)
-        if fmt in ("json", "both"):
+        if fmt != "csv":
             fname = path("records.ndjson")
             children_index = build_children_index(out)
             with open(fname, "w", encoding="latin-1") as fh:

@@ -10,10 +10,11 @@ here, only for the few that pruning keeps.
 Spans are grouped exactly.  Each distinct line template of a charset gets an
 id; the spans of ``w`` lines are ranked by the pair (rank of their first
 ``w - 1`` lines, id of their last line), so two spans share a group exactly
-when their line templates are equal.  One span template per group goes to
-the search's symbol pool (``templates._SymbolPool.reduce_template``), which
-returns the canonical string of its reduction and reduces each distinct line
-and span template only once per search.
+when their line templates are equal.  Reduction goes through the search's
+symbol pool (``templates._SymbolPool``): each distinct line template is
+reduced once per charset (``reduce_line``), and the key of a group is the
+reduction of its first span from its lines' symbols (``reduce_span``), which
+the pool computes once per search for each sequence of reduced lines.
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ class _GenContext:
     def __init__(self, view: TextView):
         self.view = view
         self.arr = view.np_bytes
-        self.offsets = view.offsets.astype(np.int64)
+        self.offsets = view.offsets
         self.n = view.n_lines
         self.missing_newline = len(view.data) > 0 and view.data[-1] != NEWLINE
         present = np.unique(self.arr)
         self.present_specials = tuple(
             int(b) for b in present if int(b) in ENUMERABLE_CANDIDATE_BYTES
         )
-        # Reduces the span templates of every charset, each one once.
+        # Reduces the lines and spans of every charset, each one once.
         self.symbol_pool = _SymbolPool()
 
 
@@ -116,6 +117,9 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
     lines = (tb + b"\n" if ctx.missing_newline else tb).split(b"\n")[:-1]
     ids = {t: i for i, t in enumerate(dict.fromkeys(lines))}
     line_id = np.fromiter(map(ids.__getitem__, lines), dtype=np.int64, count=n)
+    pool = ctx.symbol_pool
+    reduced = [pool.reduce_line(t + b"\n") for t in ids]
+    line_syms = [reduced[i] for i in line_id.tolist()]
     has_field = np.array([FIELD_BYTE in t for t in ids])[line_id]
     hasFp = np.concatenate(([0], np.cumsum(has_field)))
 
@@ -159,8 +163,7 @@ def _gen_one(ctx: _GenContext, charset: frozenset[int],
         for g in proc:
             b0 = bounds[g]
             first_line = int(starts_sorted[b0])
-            tpl = b"\n".join(lines[first_line : first_line + w]) + b"\n"
-            key = ctx.symbol_pool.reduce_template(tpl)
+            key = pool.reduce_span(line_syms[first_line : first_line + w])
             bins.setdefault(key, []).append(
                 (w, starts_sorted[b0 : b0 + int(counts[g])].copy()))
 

@@ -14,14 +14,19 @@ from dataclasses import dataclass, field
 from .corpus import Corpus, TextView, sample
 from .generation import GenerationConfig, run_search
 from .pruning import PruningConfig, prune
-from .refinement import refine
-from .scoring import ScoredTemplate, noise_only_dl, parse_with_template, score
+from .refinement import merged_arity_diagnostic, refine
+from .scoring import (
+    FieldType,
+    ScoredTemplate,
+    noise_only_dl,
+    parse_with_template,
+    score,
+)
 from .templates import (
     Node,
     canonical_string,
     compile_template,
     field_count,
-    layout,
     parse_canonical,
 )
 
@@ -68,38 +73,6 @@ class ExtractionPlan:
         return [s.template for s in self.templates]
 
 
-MERGE_MODE_SHARE = 0.25
-
-
-def _merged_arity_diagnostic(winner: ScoredTemplate) -> list[str]:
-    """Fixed-arity templates an array-type winner may have absorbed.
-
-    When an array's repetition histogram concentrates on two or more distinct
-    arities, the winner likely merged interleaved fixed-arity record types
-    that cannot be told apart by the score; the flag lists the fixed-arity
-    forms it subsumes (diagnostic only, the merge is a known failure mode).
-    """
-    from collections import Counter
-
-    from .refinement import _full_unfold, _replace_array
-
-    lay = layout(winner.template)
-    for idx in range(len(lay.arrays)):
-        counts = winner.arity_counts[idx] if idx < len(winner.arity_counts) else []
-        if not counts:
-            continue
-        hist = Counter(counts)
-        modes = sorted(k for k, c in hist.items()
-                       if c / len(counts) >= MERGE_MODE_SHARE)
-        if len(modes) >= 2:
-            subsumed = []
-            for k in modes:
-                node = _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
-                subsumed.append(canonical_string(node).decode("latin-1"))
-            return subsumed
-    return []
-
-
 def discover(corpus: Corpus, cfg: PipelineConfig | None = None) -> ExtractionPlan:
     cfg = cfg or PipelineConfig()
     view = sample(corpus, cfg.sampling.budget, cfg.sampling.chunk_size,
@@ -136,7 +109,7 @@ def discover(corpus: Corpus, cfg: PipelineConfig | None = None) -> ExtractionPla
                      key=lambda s: (s.total_dl, field_count(s.template), s.canonical))
         if winner.total_dl >= noise_only_dl(text) or winner.record_count == 0:
             break
-        flagged = _merged_arity_diagnostic(winner)
+        flagged = merged_arity_diagnostic(winner)
         if flagged:
             diagnostics.setdefault("merged_fixed_arity", []).append(
                 {"round": len(rounds), "winner": winner.canonical.decode("latin-1"),
@@ -192,7 +165,8 @@ def report_json(plan: ExtractionPlan) -> str:
 
 
 def plan_from_report(doc: dict) -> ExtractionPlan:
-    """Rebuild an applicable plan (templates + span limit) from a report.
+    """Rebuild an applicable plan from a report; ``report`` of the result
+    is the report again.
 
     The report may come from outside the program: a malformed one raises
     ValueError.
@@ -202,8 +176,8 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
     rounds_doc = doc.get("rounds", [])
     if not (isinstance(rounds_doc, list) and all(isinstance(r, dict) for r in rounds_doc)):
         raise ValueError("plan rounds must be a list of objects")
-    max_span_lines = doc.get("max_span_lines", 10)
-    if type(max_span_lines) is not int or max_span_lines < 1:
+    max_span_lines = _figure(doc, "max_span_lines", 10)
+    if max_span_lines < 1:
         raise ValueError("plan max_span_lines must be an integer >= 1")
     templates = []
     rounds = []
@@ -212,24 +186,43 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
             raise ValueError("every plan round needs a template string")
         node = parse_canonical(r["template"].encode("latin-1"))
         compile_template(node)  # admission check
+        field_types = r.get("field_types", [])
+        if not isinstance(field_types, list):
+            raise ValueError("plan field_types must be a list")
         st = ScoredTemplate(
             template=node,
             canonical=canonical_string(node),
-            total_dl=r.get("total_dl", 0),
-            field_types=[],
-            record_count=r.get("record_count", 0),
+            total_dl=_figure(r, "total_dl", 0),
+            field_types=[FieldType.from_json(t) for t in field_types],
+            record_count=_figure(r, "record_count", 0),
             record_bytes=0,
-            noise_bytes=r.get("noise_bytes", 0),
-            block_count=r.get("block_count", 0),
+            noise_bytes=_figure(r, "noise_bytes", 0),
+            block_count=_figure(r, "block_count", 0),
         )
         templates.append(st)
-        rounds.append(RoundInfo(st, r.get("coverage_pct", 0.0),
-                                r.get("subsets_enumerated", 0)))
+        rounds.append(RoundInfo(st, _figure(r, "coverage_pct", 0.0, float),
+                                _figure(r, "subsets_enumerated", 0)))
+    status = doc.get("status", "ok" if templates else "no_structure")
+    if status not in ("ok", "no_structure"):
+        raise ValueError("plan status must be 'ok' or 'no_structure'")
+    diagnostics = doc.get("diagnostics", {})
+    if not isinstance(diagnostics, dict):
+        raise ValueError("plan diagnostics must be an object")
     return ExtractionPlan(
         templates=templates,
         rounds=rounds,
-        residual_noise_fraction=doc.get("residual_noise_fraction", 0.0),
-        status=doc.get("status", "ok" if templates else "no_structure"),
-        diagnostics=doc.get("diagnostics", {}),
+        residual_noise_fraction=_figure(doc, "residual_noise_fraction", 0.0, float),
+        status=status,
+        diagnostics=diagnostics,
         max_span_lines=max_span_lines,
     )
+
+
+def _figure(doc: dict, key: str, default, number=int):
+    """``doc[key]`` (``default`` when absent), which must be an integer, or
+    with ``number=float`` any JSON number."""
+    value = doc.get(key, default)
+    if type(value) not in (int, number):
+        raise ValueError(f"plan {key} must be "
+                         f"{'a number' if number is float else 'an integer'}")
+    return value

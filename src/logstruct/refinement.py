@@ -29,7 +29,7 @@ from .templates import (
 )
 
 FULL_UNFOLD_MIN_SHARE = 0.90
-TOP_ARITIES = 3
+MERGE_MODE_SHARE = 0.25
 
 Scorer = Callable[[Node], ScoredTemplate]
 
@@ -63,36 +63,63 @@ def _partial_unfold(a: Array, j: int) -> Node:
     return struct_of(parts)
 
 
-def unfold_proposals(st: Node, arity_counts: list[list[int]]) -> list[Node]:
-    """Candidate rewrites for every array node, deterministic order."""
-    proposals: list[Node] = []
-    lay = layout(st)
+def _arity_shares(lay: Layout, arity_counts: list[list[int]]):
+    """``(array number, {arity: share of the array's instances})`` of each
+    array of ``lay`` that has an instance."""
     for idx in range(len(lay.arrays)):
         counts = arity_counts[idx] if idx < len(arity_counts) else []
-        if not counts:
-            continue
-        total = len(counts)
-        hist = Counter(counts)
-        top = sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))[:TOP_ARITIES]
-        ks = sorted(k for k, c in top if c / total >= FULL_UNFOLD_MIN_SHARE)
-        for k in ks:
-            proposals.append(
-                _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
-            )
-        min_arity = min(counts)
+        if counts:
+            yield idx, {k: c / len(counts) for k, c in Counter(counts).items()}
+
+
+def unfold_proposals(st: Node, arity_counts: list[list[int]]) -> list[Node]:
+    """Candidate rewrites for every array node, deterministic order.
+
+    An array is fully unfolded at the arity of at least
+    FULL_UNFOLD_MIN_SHARE of its instances; as the shares sum to 1, there
+    is at most one."""
+    proposals: list[Node] = []
+    lay = layout(st)
+    for idx, shares in _arity_shares(lay, arity_counts):
+        for k, share in shares.items():
+            if share >= FULL_UNFOLD_MIN_SHARE:
+                proposals.append(
+                    _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
+                )
+        min_arity = min(shares)
         for j in sorted({1, min_arity - 1}):
             if 1 <= j <= min_arity - 1:
                 proposals.append(
                     _replace_array(lay, idx, lambda a, j=j: _partial_unfold(a, j))
                 )
     out = []
-    seen = set()
+    seen = {canonical_string(st)}
     for p in proposals:
         key = canonical_string(p)
-        if key != canonical_string(st) and key not in seen:
+        if key not in seen:
             seen.add(key)
             out.append(p)
     return out
+
+
+def merged_arity_diagnostic(winner: ScoredTemplate) -> list[str]:
+    """Fixed-arity templates an array-type winner may have absorbed.
+
+    When an array's repetition histogram concentrates on two or more distinct
+    arities, the winner likely merged interleaved fixed-arity record types
+    that cannot be told apart by the score; the flag lists the fixed-arity
+    forms it subsumes (diagnostic only, the merge is a known failure mode).
+    """
+    lay = layout(winner.template)
+    for idx, shares in _arity_shares(lay, winner.arity_counts):
+        modes = sorted(k for k, share in shares.items() if share >= MERGE_MODE_SHARE)
+        if len(modes) >= 2:
+            subsumed = []
+            for k in modes:
+                node = _replace_array(lay, idx, lambda a, k=k: _full_unfold(a, k))
+                subsumed.append(canonical_string(node).decode("latin-1"))
+            return subsumed
+    return []
 
 
 def _unfold(current: ScoredTemplate, scorer: Scorer) -> ScoredTemplate:

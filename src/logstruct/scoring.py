@@ -28,7 +28,6 @@ from .templates import (
     Node,
     canonical_string,
     compile_template,
-    field_count,
 )
 
 ARRAY_COUNT_BITS = 32
@@ -64,17 +63,28 @@ class FieldType:
         return None
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "enumerated":
-            out["n_value"] = self.n_value
-        elif self.kind == "integer":
-            out["min"] = self.min_scaled
-            out["max"] = self.max_scaled
-        elif self.kind == "real":
-            out["scaled_min"] = self.min_scaled
-            out["scaled_max"] = self.max_scaled
-            out["exp"] = self.exp
-        return out
+        return {"kind": self.kind,
+                **{key: getattr(self, attr) for key, attr in _FIGURES[self.kind]}}
+
+    @classmethod
+    def from_json(cls, doc) -> "FieldType":
+        """The field type ``to_json`` wrote; ValueError for any other value."""
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        figures = _FIGURES.get(kind) if isinstance(kind, str) else None
+        if figures is None or set(doc) != {"kind", *(k for k, _ in figures)} or any(
+                type(doc[k]) is not int for k, _ in figures):
+            raise ValueError(f"not a field type: {doc!r}")
+        return cls(kind, **{attr: doc[key] for key, attr in figures})
+
+
+# The JSON key and the attribute of each figure of a field type, per kind.
+_FIGURES = {
+    "enumerated": (("n_value", "n_value"),),
+    "integer": (("min", "min_scaled"), ("max", "max_scaled")),
+    "real": (("scaled_min", "min_scaled"), ("scaled_max", "max_scaled"),
+             ("exp", "exp")),
+    "string": (),
+}
 
 
 @dataclass

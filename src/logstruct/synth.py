@@ -66,16 +66,21 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FieldSpec":
-        kind = doc["kind"]
+        kind = _value(doc, "kind", (str,))
         if kind == "int":
-            return cls("int", lo=doc["lo"], hi=doc["hi"], pad=doc.get("pad", 0))
+            return cls("int", lo=_value(doc, "lo", _INT), hi=_value(doc, "hi", _INT),
+                       pad=_value(doc, "pad", _INT, 0))
         if kind == "real":
-            return cls("real", lo=doc["lo_scaled"], hi=doc["hi_scaled"],
-                       exp=doc["exp"])
+            return cls("real", lo=_value(doc, "lo_scaled", _INT),
+                       hi=_value(doc, "hi_scaled", _INT), exp=_value(doc, "exp", _INT))
         if kind == "enum":
-            return cls("enum", values=tuple(doc["values"]))
+            values = _value(doc, "values", (list,))
+            if not all(isinstance(v, str) for v in values):
+                raise SynthError("enum values must be strings")
+            return cls("enum", values=tuple(values))
         if kind == "str":
-            return cls("str", min_len=doc["min_len"], max_len=doc["max_len"])
+            return cls("str", min_len=_value(doc, "min_len", _INT),
+                       max_len=_value(doc, "max_len", _INT))
         raise SynthError(f"unknown field kind {kind!r}")
 
 
@@ -107,6 +112,8 @@ class SynthSpec:
             raise SynthError("need at least one template")
         if not (0 <= self.noise_fraction < 1):
             raise SynthError("noise_fraction must be in [0, 1)")
+        if not 0 <= self.noise_len[0] <= self.noise_len[1]:
+            raise SynthError("noise_len must be [min, max] with 0 <= min <= max")
         compiled = []
         for tspec in self.templates:
             if tspec.weight <= 0:
@@ -122,6 +129,12 @@ class SynthSpec:
             if len(tspec.arrays) != len(lay.arrays):
                 raise SynthError("one array spec per array node required")
             for fs in tspec.fields:
+                if fs.kind in ("int", "real") and fs.lo > fs.hi:
+                    raise SynthError("a field's lo must not exceed its hi")
+                if fs.kind == "str" and not 1 <= fs.min_len <= fs.max_len:
+                    raise SynthError("a string field needs 1 <= min_len <= max_len")
+                if fs.kind == "enum" and not fs.values:
+                    raise SynthError("an enum field needs at least one value")
                 if fs.kind == "real" and ord(".") in charset:
                     raise SynthError("real fields clash with '.' in charset")
                 if fs.kind in ("int", "real") and fs.lo < 0 and ord("-") in charset:
@@ -439,23 +452,53 @@ def spec_to_json(spec: SynthSpec) -> dict:
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
+    """The spec ``spec_to_json`` wrote.  The document may come from outside
+    the program: a malformed one raises SynthError (see also
+    ``SynthSpec.validate``)."""
+    if not isinstance(doc, dict):
+        raise SynthError("spec must be a JSON object")
     templates = []
-    for t in doc["templates"]:
-        node = parse_canonical(t["template"].encode("latin-1"))
+    for t in _objects(_value(doc, "templates", (list,))):
+        node = parse_canonical(_value(t, "template", (str,)).encode("latin-1"))
         templates.append(TemplateSpec(
             template=node,
-            fields=[FieldSpec.from_json(f) for f in t["fields"]],
-            arrays=[ArraySpec(a["min_reps"], a["max_reps"])
-                    for a in t.get("arrays", [])],
-            weight=t.get("weight", 1.0),
+            fields=list(map(FieldSpec.from_json, _objects(_value(t, "fields", (list,))))),
+            arrays=[ArraySpec(_value(a, "min_reps", _INT), _value(a, "max_reps", _INT))
+                    for a in _objects(_value(t, "arrays", (list,), []))],
+            weight=_value(t, "weight", _NUMBER, 1.0),
         ))
+    noise_len = _value(doc, "noise_len", (list,), [8, 40])
+    if not (len(noise_len) == 2 and all(type(n) is int for n in noise_len)):
+        raise SynthError("spec noise_len must be two integers")
     return SynthSpec(
         templates=templates,
-        noise_fraction=doc.get("noise_fraction", 0.0),
-        record_count=doc.get("record_count", 100),
-        seed=doc.get("seed", 0),
-        noise_len=tuple(doc.get("noise_len", (8, 40))),
+        noise_fraction=_value(doc, "noise_fraction", _NUMBER, 0.0),
+        record_count=_value(doc, "record_count", _INT, 100),
+        seed=_value(doc, "seed", _INT, 0),
+        noise_len=tuple(noise_len),
     )
+
+
+_INT = (int,)
+_NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def _value(doc: dict, key: str, types: tuple, default=_REQUIRED):
+    """``doc[key]``, or ``default`` when it is absent; SynthError unless it
+    is of one of ``types`` (exactly: a JSON ``true`` is no integer)."""
+    value = doc.get(key, default)
+    if type(value) not in types:
+        raise SynthError(f"spec {key!r} must be "
+                         f"{' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def _objects(docs: list) -> list[dict]:
+    """``docs``, which must all be JSON objects; else SynthError."""
+    if not all(isinstance(d, dict) for d in docs):
+        raise SynthError("spec templates, fields and arrays must be objects")
+    return docs
 
 
 def truth_to_json(result: SynthResult) -> dict:

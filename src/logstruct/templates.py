@@ -316,8 +316,10 @@ def parse_canonical(data: bytes) -> Node:
 # runs that start there the longest.  It works on symbol strings, one
 # character per element: a literal byte is the character of the same code,
 # a placeholder is "F", and an array is an array symbol, a private-use
-# character that the pool interns under the array's canonical bytes.  A
-# reduction yields canonical bytes; parse_canonical builds the tree.
+# character that the pool interns under the array's canonical bytes.  The
+# pool reduces a line template to symbols (reduce_line), and a span from the
+# symbols of its lines (reduce_span), which yields canonical bytes;
+# parse_canonical builds the tree.
 
 # Array symbols count up from _ARRAY_SYM_FIRST.  Only literal symbols, below
 # it, separate or terminate a run.
@@ -375,80 +377,57 @@ def _longest_run_at(s: str, start: int, pool: _SymbolPool) -> tuple[int, int] | 
     return best
 
 
-_ESC_TABLE = [_escape_byte(b) for b in range(256)]
-
-
 class _SymbolPool:
     """Array symbols, and the reductions made with them.
 
-    One pool serves many record templates (a whole charset search): each
-    array is interned once, and each line and record template is reduced
-    once.
+    One pool serves a whole charset search: each array is interned once,
+    and each line template and each span of reduced lines is reduced once.
+    ``canon`` maps every symbol to its canonical bytes: a literal byte to
+    its escape, "F" to itself, and each array symbol, once interned, to
+    the bytes canonical_string writes for its array.
     """
 
     def __init__(self):
+        self.canon: dict[str, bytes] = {chr(b): _escape_byte(b) for b in range(256)}
+        self.canon["F"] = b"F"
         self.sym_by_key: dict[bytes, str] = {}
-        self.canon_by_sym: dict[str, bytes] = {}
-        self.line_memo: dict[bytes, tuple[str, bytes]] = {}
-        self.template_memo: dict[bytes, bytes] = {}
+        self.line_memo: dict[bytes, str] = {}
+        self.span_memo: dict[str, bytes] = {}
 
     def array_symbol(self, body: str, sep: str, term: str) -> str:
-        """The symbol of the array ``(body sep)* body term``, interned under
-        the bytes canonical_string writes for it."""
+        """The symbol of the array ``(body sep)* body term``."""
         unit = self.canonical_of(body)
-        key = b"(" + unit + _ESC_TABLE[ord(sep)] + b")*" + unit + _ESC_TABLE[ord(term)]
+        key = b"(" + unit + self.canon[sep] + b")*" + unit + self.canon[term]
         sym = self.sym_by_key.get(key)
         if sym is None:
             sym = chr(ord(_ARRAY_SYM_FIRST) + len(self.sym_by_key))
             self.sym_by_key[key] = sym
-            self.canon_by_sym[sym] = key
+            self.canon[sym] = key
         return sym
 
     def canonical_of(self, syms: str) -> bytes:
-        out = []
-        for ch in syms:
-            if ch == "F":
-                out.append(b"F")
-            elif ch >= _ARRAY_SYM_FIRST:
-                out.append(self.canon_by_sym[ch])
-            else:
-                out.append(_ESC_TABLE[ord(ch)])
-        return b"".join(out)
+        return b"".join(map(self.canon.__getitem__, syms))
 
     def byte_len(self, syms: str) -> int:
         """Length of ``canonical_of(syms)``."""
-        total = 0
-        for ch in syms:
-            if ch >= _ARRAY_SYM_FIRST:
-                total += len(self.canon_by_sym[ch])
-            else:
-                total += 1 if ch == "F" else len(_ESC_TABLE[ord(ch)])
-        return total
+        return sum(map(len, map(self.canon.__getitem__, syms)))
 
-    def reduce_template(self, text: bytes) -> bytes:
-        """Canonical bytes of the reduction of a record template."""
-        key = self.template_memo.get(text)
+    def reduce_line(self, line: bytes) -> str:
+        """The reduced symbols of one line template, newline included."""
+        syms = self.line_memo.get(line)
+        if syms is None:
+            syms = self.line_memo[line] = _reduce_seq(line.decode("latin-1"), self)
+        return syms
+
+    def reduce_span(self, line_syms: list[str]) -> bytes:
+        """Canonical bytes of the reduction of a span, given the reduced
+        symbols of its lines (see ``reduce_line``)."""
+        joined = "".join(line_syms)
+        key = self.span_memo.get(joined)
         if key is None:
-            lines = text.split(b"\n")
-            last = lines.pop()  # empty when the text ends with a newline
-            parts = [self._reduce_line(line + b"\n") for line in lines]
-            if last:
-                parts.append(self._reduce_line(last))
-            joined = "".join(syms for syms, _ in parts)
-            reduced = _reduce_seq(joined, self) if len(parts) > 1 else joined
-            if reduced != joined:
-                key = self.canonical_of(reduced)
-            else:
-                key = b"".join(canon for _, canon in parts)
-            self.template_memo[text] = key
+            reduced = _reduce_seq(joined, self) if len(line_syms) > 1 else joined
+            key = self.span_memo[joined] = self.canonical_of(reduced)
         return key
-
-    def _reduce_line(self, line: bytes) -> tuple[str, bytes]:
-        hit = self.line_memo.get(line)
-        if hit is None:
-            syms = _reduce_seq(line.decode("latin-1"), self)
-            hit = self.line_memo[line] = (syms, self.canonical_of(syms))
-        return hit
 
 
 def _reduce_seq(s: str, pool: _SymbolPool) -> str:

@@ -58,7 +58,11 @@ def extract_record_template(record: bytes, charset: frozenset[int]) -> RecordTem
 def reduce_to_structure_template(rt: RecordTemplate | bytes) -> Node:
     """The tree of a record template's reduction."""
     text = rt.text if isinstance(rt, RecordTemplate) else rt
-    return parse_canonical(_SymbolPool().reduce_template(text))
+    lines = [line + b"\n" for line in text.split(b"\n")]
+    lines[-1] = lines[-1][:-1]  # empty when the text ends with a newline
+    pool = _SymbolPool()
+    return parse_canonical(pool.reduce_span([pool.reduce_line(line) for line in lines
+                                             if line]))
 
 
 def reduce_node(node: Node) -> Node:

@@ -109,14 +109,38 @@ _GOOD_PLAN = {"status": "ok", "max_span_lines": 10, "rounds": [{"template": "F,F
     {**_GOOD_PLAN, "rounds": [{"total_dl": 1.0}]},
     {**_GOOD_PLAN, "rounds": [{"template": 7}]},
     {**_GOOD_PLAN, "rounds": "F,F\n"},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "coverage_pct": "x"}]},
+    {**_GOOD_PLAN, "residual_noise_fraction": "x"},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "total_dl": "x"}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "record_count": 1.5}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "noise_bytes": True}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "block_count": None}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "subsets_enumerated": "3"}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n", "field_types": "integer"}]},
+    {**_GOOD_PLAN, "rounds": [{"template": "F,F\n",
+                               "field_types": [{"kind": "integer", "min": 0}]}]},
+    {**_GOOD_PLAN, "status": 1},
+    {**_GOOD_PLAN, "diagnostics": []},
 ], ids=["span-str", "span-float", "span-zero", "no-template", "template-int",
-        "rounds-str"])
+        "rounds-str", "coverage-str", "residual-str", "dl-str", "records-float",
+        "noise-bool", "blocks-null", "subsets-str", "field-types-str",
+        "field-type-figure-missing", "status-int", "diagnostics-list"])
 def test_extract_malformed_plan_rejected(plan, csv_log, tmp_path, capsys):
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
     code = main(["extract", str(csv_log), "--plan", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()  # rejected before extraction
+
+
+def test_extract_with_plan_writes_the_plan_it_read(csv_log, tmp_path, capsys):
+    plan_dir = tmp_path / "plan"
+    assert main(["discover", str(csv_log), "--out", str(plan_dir)]) == 0
+    out = tmp_path / "out"
+    assert main(["extract", str(csv_log), "--plan", str(plan_dir / "plan.json"),
+                 "--out", str(out)]) == 0
+    assert (out / "plan.json").read_text() == (plan_dir / "plan.json").read_text()
 
 
 def test_extract_requires_plan_or_auto(csv_log, capsys):
@@ -140,6 +164,46 @@ def test_synth_verify_loop(tmp_path, capsys):
     captured = capsys.readouterr().out.splitlines()[-1]
     assert code == 0, captured
     assert json.loads(captured) == {"success": True, "diff": {}}
+
+
+_GOOD_SPEC = {"templates": [{"template": "[F] F=F\n", "fields": [
+    {"kind": "enum", "values": ["a", "b"]},
+    {"kind": "str", "min_len": 3, "max_len": 8},
+    {"kind": "int", "lo": 0, "hi": 999}]}], "record_count": 20, "seed": 1}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: [d], "object"),
+    (lambda d: _set(d, ["templates"], _DELETE), "templates"),
+    (lambda d: _set(d, ["templates", 0], "[F] F=F\n"), "objects"),
+    (lambda d: _set(d, ["templates", 0, "fields"], _DELETE), "fields"),
+    (lambda d: _set(d, ["templates", 0, "fields", 2, "lo"], _DELETE), "lo"),
+    (lambda d: _set(d, ["templates", 0, "fields", 2, "hi"], "9"), "hi"),
+    (lambda d: _set(d, ["templates", 0, "fields", 0, "values"], []), "enum"),
+    (lambda d: _set(d, ["templates", 0, "fields", 2, "lo"], 1000), "lo"),
+    (lambda d: _set(d, ["templates", 0, "fields", 1, "min_len"], 9), "min_len"),
+    (lambda d: _set(d, ["templates", 0, "fields", 1, "min_len"], 0), "min_len"),
+    (lambda d: _set(d, ["templates", 0, "weight"], "1"), "weight"),
+    (lambda d: _set(d, ["noise_len"], 8), "noise_len"),
+    (lambda d: _set(d, ["noise_len"], [9, 2]), "noise_len"),
+], ids=["not-object", "no-templates", "template-str", "no-fields", "int-no-lo",
+        "int-hi-str", "enum-empty", "lo-above-hi", "min-len-above-max", "min-len-zero",
+        "weight-str", "noise-len-int", "noise-len-reversed"])
+def test_synth_malformed_spec_rejected(edit, named, tmp_path, capsys):
+    assert main(["synth", "--spec", str(_spec_file(tmp_path, _GOOD_SPEC)),
+                 "--out", str(tmp_path / "ok")]) == 0
+    code = main(["synth", "--spec", str(_spec_file(tmp_path, edit(_GOOD_SPEC))),
+                 "--out", str(tmp_path / "synth")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert not (tmp_path / "synth").exists()
+
+
+def _spec_file(tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def test_verify_flags_wrong_extraction(tmp_path, capsys):
@@ -233,10 +297,24 @@ def test_verify_malformed_manifest_rejected(edit, verified, tmp_path, capsys):
 
 def _set_cell(rows, row, column, value):
     """A copy of the CSV ``rows`` (the header first) with the cell of
-    ``column`` in ``rows[row]`` set to ``value``."""
+    ``column`` in ``rows[row]`` set to ``value``, or to ``value(cell)``."""
     rows = [list(r) for r in rows]
-    rows[row][rows[0].index(column)] = value
+    col = rows[0].index(column)
+    rows[row][col] = value(rows[row][col]) if callable(value) else value
     return rows
+
+
+def _swap_line_spans(rows):
+    """A copy of the CSV ``rows`` in which the first two records exchange
+    their line spans."""
+    rows = [list(r) for r in rows]
+    for col in (rows[0].index("start_line"), rows[0].index("end_line")):
+        rows[1][col], rows[2][col] = rows[2][col], rows[1][col]
+    return rows
+
+
+def _shift(delta):
+    return lambda cell: str(int(cell) + delta)
 
 
 def _edit_records(out, edit):
@@ -264,6 +342,32 @@ def test_verify_malformed_record_index_rejected(edit, verified, tmp_path, capsys
         _edit_records(out, edit)
     assert _verify(out, truth) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: _set_cell(r, 2, "start_byte", _shift(-3)),
+    lambda r: _set_cell(r, 1, "start_byte", _shift(3)),
+    lambda r: _set_cell(r, -1, "end_byte", str(10**9)),
+    _swap_line_spans,
+], ids=["overlap", "gap", "past-end", "line-span"])
+def test_verify_records_that_do_not_tile_the_source_rejected(edit, verified, tmp_path,
+                                                             capsys):
+    # records and noise lines, in byte order, must follow each other without
+    # a gap or an overlap, in bytes and in lines, and end at source_len
+    out, truth = _inputs(verified, tmp_path)
+    _edit_records(out, edit)
+    assert _verify(out, truth) == 2
+    assert capsys.readouterr().err.startswith("error: reconstruct:")
+
+
+def test_verify_reads_json_format_output(verified, tmp_path, capsys):
+    # every format writes the stored form, which verify reads back
+    out = tmp_path / "out"
+    assert main(["extract", str(verified / "synth" / "corpus.log"), "--format", "json",
+                 "--plan", str(verified / "plan.json"), "--out", str(out)]) == 0
+    assert (out / "records.ndjson").exists()
+    assert _verify(out, verified / "synth" / "truth.json") == 0
+    assert json.loads(capsys.readouterr().out) == {"success": True, "diff": {}}
 
 
 @pytest.mark.parametrize("csv_text", [

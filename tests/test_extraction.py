@@ -93,6 +93,21 @@ def test_zero_matches_yields_empty_tables_full_noise():
     assert reconstruct(out) == b"xx\nyy\n"
 
 
+@pytest.mark.parametrize("damage", [
+    lambda out: out.noise.pop(0),
+    lambda out: out.records.pop(),
+    lambda out: setattr(out.records[0], "end_line", 2),
+    lambda out: setattr(out, "source_len", out.source_len + 1),
+], ids=["noise-line-dropped", "last-record-dropped", "line-span", "source-len"])
+def test_reconstruct_rejects_records_and_noise_that_do_not_tile(damage):
+    data = b"a,b\nnoise\nc,d"
+    out = extract_all(corpus_from_bytes(data), plan_of(b"F,F\n"))
+    assert reconstruct(out) == data
+    damage(out)
+    with pytest.raises(ValueError, match="^reconstruct: "):
+        reconstruct(out)
+
+
 def test_conservation_on_synthetic_corpora():
     for seed in (1, 2, 3):
         res = generate(two_type_spec(seed=seed))
@@ -327,7 +342,8 @@ class TestWriters:
         out = extract_all(corpus_from_bytes(b'x,"1,2",y\n'), plan_of(b'F,"(F,)*F",F\n'))
         write_output(out, tmp_path, "json")
         assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["_manifest.json", "_noise.txt", "_records.csv", "records.ndjson"]
+            ["_manifest.json", "_noise.txt", "_records.csv", "records.ndjson",
+             "t0.csv", "t0_a0.csv"]
         lines = (tmp_path / "records.ndjson").read_text().splitlines()
         obj = json.loads(lines[0])
         assert obj["f0"] == "x" and obj["f2"] == "y"

@@ -12,7 +12,7 @@ from logstruct.generation import (
     gen_for_charset,
     greedy_search,
 )
-from logstruct.templates import canonical_string
+from logstruct.templates import _SymbolPool, canonical_string
 from oracles import extract_record_template, reduce_to_structure_template
 
 NL = ord("\n")
@@ -114,6 +114,22 @@ class TestGenForCharset:
             noise_fraction=0.2, record_count=60, seed=4))
         for charset in [frozenset(b"-"), frozenset(b"-= ")]:
             assert got_bins(res.data, charset) == oracle_bins(res.data, charset)
+
+    def test_each_distinct_line_is_reduced_once(self, monkeypatch):
+        # spans are reduced from their lines' symbols, so each distinct line
+        # template is reduced once, however many spans hold it
+        reduced = []
+        reduce_line = _SymbolPool.reduce_line
+
+        def counted(pool, line):
+            reduced.append(line)
+            return reduce_line(pool, line)
+
+        monkeypatch.setattr(_SymbolPool, "reduce_line", counted)
+        data = b"a,b,c,d\nx;y\n" * 30 + b"a,b\n" * 10
+        got = got_bins(data, frozenset(b",;"), max_span_lines=4)
+        assert sorted(reduced) == [b"F,F\n", b"F,F,F,F\n", b"F;F\n"]
+        assert got == oracle_bins(data, frozenset(b",;"), max_span=4)
 
     def test_noise_flood_keeps_the_largest_groups_first_lines_first(self, monkeypatch):
         # the planted line alternates with noise lines of distinct shapes, so

@@ -77,6 +77,17 @@ def test_report_round_trip():
     assert back.max_span_lines == plan.max_span_lines
 
 
+def test_report_of_the_plan_read_back_is_the_report():
+    # string, enumerated and integer field types, and an array
+    fields = [FieldSpec("str"), FieldSpec("enum", values=("a", "b")), FieldSpec("int")]
+    spec = make_spec([(b"F [F] (F,)*F;\n", fields, [ArraySpec()], 1.0)],
+                     noise_fraction=0.1, record_count=60, seed=8)
+    for corpus in (corpus_of(two_type_spec(seed=3)), corpus_of(spec)):
+        doc = json.loads(report_json(discover(corpus)))
+        assert doc["rounds"] and all(r["field_types"] for r in doc["rounds"])
+        assert report(plan_from_report(doc)) == doc
+
+
 def test_report_no_structure_status():
     rng = random.Random(6)
     lines = ["".join(rng.choice("abcdef ghijkl") for _ in range(30)) + "\n"

@@ -125,6 +125,34 @@ class TestFieldTypes:
         assert ft.kind == "real" and (ft.min_scaled, ft.max_scaled) == (-150, 25)
 
 
+    @pytest.mark.parametrize("ft", [
+        FieldType("enumerated", n_value=3),
+        FieldType("integer", min_scaled=-4, max_scaled=90),
+        FieldType("real", min_scaled=150, max_scaled=225, exp=2),
+        FieldType("string"),
+    ], ids=lambda ft: ft.kind)
+    def test_json_round_trip(self, ft):
+        assert FieldType.from_json(ft.to_json()) == ft
+
+    @pytest.mark.parametrize("doc", [
+        "integer",
+        {},
+        {"kind": ["integer"]},
+        {"kind": "date"},
+        {"kind": "integer", "min": 0},
+        {"kind": "integer", "min": 0, "max": 9, "exp": 1},
+        {"kind": "integer", "min": 0, "max": "9"},
+        {"kind": "enumerated", "n_value": 2.0},
+        {"kind": "real", "scaled_min": 0, "scaled_max": 9, "exp": True},
+        {"kind": "string", "n_value": 1},
+    ], ids=["str", "no-kind", "kind-list", "kind-unknown", "figure-missing",
+            "figure-extra", "figure-str", "figure-float", "figure-bool",
+            "string-figure"])
+    def test_from_json_rejects_what_to_json_does_not_write(self, doc):
+        with pytest.raises(ValueError):
+            FieldType.from_json(doc)
+
+
 class TestBitCosts:
     def test_string_value_abc_is_32_bits(self):
         data = b"abc~\n"
