@@ -42,18 +42,18 @@ EXIT_NO_STRUCTURE = 3
 
 
 def _add_discovery_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=10.0,
-                   help="minimum coverage threshold, percent (default 10)")
-    p.add_argument("--max-span", type=int, default=10, metavar="L",
-                   help="maximum lines per record (default 10)")
-    p.add_argument("--top-m", type=int, default=50, metavar="M",
-                   help="candidates kept after pruning (default 50)")
+    p.add_argument("--alpha", type=float, default=GenerationConfig.alpha,
+                   help="minimum coverage threshold, percent (default %(default)g)")
+    p.add_argument("--max-span", type=int, default=GenerationConfig.max_span_lines,
+                   metavar="L", help="maximum lines per record (default %(default)d)")
+    p.add_argument("--top-m", type=int, default=PruningConfig.top_m, metavar="M",
+                   help="candidates kept after pruning (default %(default)d)")
     p.add_argument("--search", choices=("greedy", "exhaustive"),
-                   default="greedy", help="charset search mode")
-    p.add_argument("--sample-bytes", type=int, default=8 << 20)
-    p.add_argument("--chunk-bytes", type=int, default=1 << 20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
+                   default=GenerationConfig.search_mode, help="charset search mode")
+    p.add_argument("--sample-bytes", type=int, default=SamplingConfig.budget)
+    p.add_argument("--chunk-bytes", type=int, default=SamplingConfig.chunk_size)
+    p.add_argument("--seed", type=int, default=SamplingConfig.seed)
+    p.add_argument("--threads", type=int, default=PipelineConfig.threads,
                    help="accepted for compatibility; discovery runs in one "
                         "thread and the value never changes results")
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TextView
+from .scoring import DEFAULT_MAX_SPAN_LINES
 from .templates import ENUMERABLE_CANDIDATE_BYTES, FIELD_BYTE, NEWLINE, _SymbolPool
 
 MAX_CHARSET_SIZE = 16  # exhaustive-search guard on 2^c blowup
@@ -37,7 +38,7 @@ class SearchSpaceError(ValueError):
 @dataclass(frozen=True)
 class GenerationConfig:
     alpha: float = 10.0  # minimum coverage, percent of sampled bytes
-    max_span_lines: int = 10
+    max_span_lines: int = DEFAULT_MAX_SPAN_LINES
     search_mode: str = "greedy"  # "greedy" | "exhaustive"
 
     def __post_init__(self):

@@ -16,6 +16,7 @@ from .generation import GenerationConfig, run_search
 from .pruning import PruningConfig, prune
 from .refinement import merged_arity_diagnostic, refine
 from .scoring import (
+    DEFAULT_MAX_SPAN_LINES,
     FieldType,
     ScoredTemplate,
     noise_only_dl,
@@ -176,7 +177,7 @@ def plan_from_report(doc: dict) -> ExtractionPlan:
     rounds_doc = doc.get("rounds", [])
     if not (isinstance(rounds_doc, list) and all(isinstance(r, dict) for r in rounds_doc)):
         raise ValueError("plan rounds must be a list of objects")
-    max_span_lines = _figure(doc, "max_span_lines", 10)
+    max_span_lines = _figure(doc, "max_span_lines", DEFAULT_MAX_SPAN_LINES)
     if max_span_lines < 1:
         raise ValueError("plan max_span_lines must be an integer >= 1")
     templates = []

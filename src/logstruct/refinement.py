@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Callable
 
 from .corpus import TextView
-from .scoring import ScoredTemplate, _next_record, score
+from .scoring import DEFAULT_MAX_SPAN_LINES, ScoredTemplate, _next_record, score
 from .templates import (
     ARRAY,
     NEWLINE,
@@ -188,7 +188,8 @@ def rotations(st: Node) -> list[Node]:
     return out
 
 
-def shift_structure(st: Node, view: TextView, max_span_lines: int = 10) -> Node:
+def shift_structure(st: Node, view: TextView,
+                    max_span_lines: int = DEFAULT_MAX_SPAN_LINES) -> Node:
     """Pick the rotation with the earliest first record; ties by canonical.
 
     The identity is searched first; each further rotation only up to the
@@ -209,7 +210,8 @@ def shift_structure(st: Node, view: TextView, max_span_lines: int = 10) -> Node:
     return st if best is None else best[1]
 
 
-def refine(scored: ScoredTemplate, view: TextView, max_span_lines: int = 10,
+def refine(scored: ScoredTemplate, view: TextView,
+           max_span_lines: int = DEFAULT_MAX_SPAN_LINES,
            scorer: Scorer | None = None) -> ScoredTemplate:
     """Unfold to a fixed point, then shift once."""
     scorer = scorer or (lambda t: score(view, t, max_span_lines))

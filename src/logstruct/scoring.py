@@ -1,9 +1,10 @@
 """Regularity scoring: parse text into record/noise blocks, infer field
 types, and compute the total description length in bits (lower is better).
 
-The scan rule, shared by scoring, structure shifting and extraction
-(:func:`scan_records`): a template's match at a line start is a record if it
-spans at most ``max_span_lines`` lines; a longer match is none.  The scan
+The scan rule, shared by scoring, structure shifting, extraction and the
+synthetic truth's noise (:func:`scan_records`): a template's match at a line
+start is a record if it spans at most ``max_span_lines`` lines (by default
+``DEFAULT_MAX_SPAN_LINES``); a longer match is none.  The scan
 takes the lowest line's record, on a tie the template first in the plan;
 lines before it are noise.  Only at EOF may its final newline be missing.
 
@@ -30,6 +31,7 @@ from .templates import (
     compile_template,
 )
 
+DEFAULT_MAX_SPAN_LINES = 10
 ARRAY_COUNT_BITS = 32
 ENUM_MAX_DISTINCT = 256
 ENUM_DISTINCT_SHARE = 0.10
@@ -185,7 +187,7 @@ def scan_records(view: TextView, compiled: list[CompiledTemplate],
 
 
 def parse_with_template(view: TextView, st: Node | CompiledTemplate,
-                        max_span_lines: int = 10) -> ParseResult:
+                        max_span_lines: int = DEFAULT_MAX_SPAN_LINES) -> ParseResult:
     """Scan with one template; each run of noise lines is one noise block."""
     compiled = st if isinstance(st, CompiledTemplate) else compile_template(st)
     offsets = view.offsets
@@ -262,7 +264,7 @@ def description_length(st: Node, parse: ParseResult,
 
 
 def score(view: TextView, st: Node | CompiledTemplate,
-          max_span_lines: int = 10) -> ScoredTemplate:
+          max_span_lines: int = DEFAULT_MAX_SPAN_LINES) -> ScoredTemplate:
     """Parse, type, and price one template over a text view."""
     compiled = st if isinstance(st, CompiledTemplate) else compile_template(st)
     parse = parse_with_template(view, compiled, max_span_lines)

@@ -1,6 +1,11 @@
 """Synthetic corpus generation with ground truth, plus the relational-ops
 verifier used to judge extraction success.
 
+The truth follows the scan rule of ``scoring.scan_records``: a noise line is
+admitted only where no template has a record of the scan (a match of at most
+``DEFAULT_MAX_SPAN_LINES`` lines) starting on it, so the scan with the
+planted templates leaves every noise line to the noise.
+
 Success means: record boundaries and types all match the ground truth, and a
 given script of column operations (Concat, GroupConcat, Trim, Append,
 DeleteCol, DeleteTable) turns the extracted tables into the target tables.
@@ -12,7 +17,9 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, field
+from itertools import accumulate
 
+from .corpus import TextView
 from .extraction import (
     RecordMeta,
     RelationalOutput,
@@ -21,6 +28,7 @@ from .extraction import (
     emit_record,
     new_tables,
 )
+from .scoring import DEFAULT_MAX_SPAN_LINES, _next_record
 from .templates import (
     ARRAY,
     LEAF,
@@ -110,6 +118,8 @@ class SynthSpec:
         """The compiled templates of a spec that can be generated; else SynthError."""
         if not self.templates:
             raise SynthError("need at least one template")
+        if self.record_count < 1:
+            raise SynthError("record_count must be >= 1")
         if not (0 <= self.noise_fraction < 1):
             raise SynthError("noise_fraction must be in [0, 1)")
         if not 0 <= self.noise_len[0] <= self.noise_len[1]:
@@ -131,6 +141,8 @@ class SynthSpec:
             for fs in tspec.fields:
                 if fs.kind in ("int", "real") and fs.lo > fs.hi:
                     raise SynthError("a field's lo must not exceed its hi")
+                if fs.pad < 0 or fs.exp < 0:
+                    raise SynthError("a field's pad and exp must not be negative")
                 if fs.kind == "str" and not 1 <= fs.min_len <= fs.max_len:
                     raise SynthError("a string field needs 1 <= min_len <= max_len")
                 if fs.kind == "enum" and not fs.values:
@@ -188,95 +200,79 @@ def _gen_record(tspec: TemplateSpec, lay: Layout, rng: random.Random,
 class SynthResult:
     data: bytes
     line_labels: list[tuple]  # ("record", type, ordinal) or ("noise",)
-    records: list[tuple[int, int, int]]  # (type, start_line, end_line)
     truth: RelationalOutput  # the ideal extraction of this corpus
+
+    @property
+    def records(self) -> list[tuple[int, int, int]]:
+        """``(type, start_line, end_line)`` of each planted record."""
+        return [(m.type_index, m.start_line, m.end_line) for m in self.truth.records]
 
 
 def generate(spec: SynthSpec) -> SynthResult:
-    """Emit interleaved records and rejection-sampled noise, with labels."""
+    """Lay out the shuffled records and noise lines in one pass, with line
+    labels and the truth.  The noise lines are drawn last, back to front, so
+    the lines after each are final; a draw is kept only where no template has
+    a record of the scan starting on it (see ``_draw_noise``)."""
     compiled = spec.validate()
     rng = random.Random(spec.seed)
-    k = len(spec.templates)
     weights = [t.weight for t in spec.templates]
-    type_seq = rng.choices(range(k), weights=weights, k=spec.record_count)
-    noise_n = round(spec.record_count * spec.noise_fraction / (1 - spec.noise_fraction)) \
-        if spec.noise_fraction else 0
-    blocks: list = [("record", t) for t in type_seq] + [("noise",)] * noise_n
+    blocks: list = rng.choices(range(len(weights)), weights=weights,
+                               k=spec.record_count)
+    if spec.noise_fraction:
+        blocks += [None] * round(spec.record_count * spec.noise_fraction
+                                 / (1 - spec.noise_fraction))
     rng.shuffle(blocks)
 
-    rendered: list[tuple] = []  # ("record", type, bytes) | ("noise", None)
-    for b in blocks:
-        if b[0] == "record":
-            tspec = spec.templates[b[1]]
-            values = [[] for _ in tspec.fields]
-            arities = [[] for _ in tspec.arrays]
-            _gen_record(tspec, layout(tspec.template), rng, values, arities)
-            rendered.append(("record", b[1], render_record(
-                tspec.template, values, arities), values, arities))
-        else:
-            rendered.append(("noise", None, b"", None, None))
-
-    # Line layout with placeholder noise, then fill noise back to front so the
-    # checked context (next lines) is final.
-    lines: list[bytes] = []
-    block_line_span: list[tuple[int, int]] = []
-    for item in rendered:
-        start = len(lines)
-        if item[0] == "record":
-            payload = item[2]
-            parts = payload.split(b"\n")[:-1]
-            lines.extend(p + b"\n" for p in parts)
-        else:
-            lines.append(b"\n")  # placeholder, replaced below
-        block_line_span.append((start, len(lines)))
-
-    noise_positions = [i for i, item in enumerate(rendered) if item[0] == "noise"]
-    for bidx in reversed(noise_positions):
-        li = block_line_span[bidx][0]
-        ok_line = None
-        for _ in range(200):
-            n = rng.randint(*spec.noise_len)
-            cand = "".join(rng.choice(_NOISE_ALPHABET) for _ in range(n)).encode() + b"\n"
-            context = cand + b"".join(lines[li + 1 : li + 11])
-            if any(c.match_at(context, 0, len(context)) for c in compiled):
-                continue
-            ok_line = cand
-            break
-        if ok_line is None:
-            raise SynthError("could not draw noise avoiding the templates; "
-                             "a template is too permissive for noisy corpora")
-        lines[li] = ok_line
-
-    # Assemble ground truth as an ideal extraction.
     schemas = [build_schema(i, t.template) for i, t in enumerate(spec.templates)]
-    tables_per_type = new_tables(schemas)
+    tables = new_tables(schemas)
+    lines: list[bytes] = []
     line_labels: list[tuple] = []
-    records: list[tuple[int, int, int]] = []
-    metas: list[RecordMeta] = []
-    noise_entries: list[tuple[int, bytes]] = []
-    offset = 0
-    line_no = 0
-    ordinals = [0] * k
-    for item, (ls, le) in zip(rendered, block_line_span):
-        block_bytes = b"".join(lines[ls:le])
-        if item[0] == "record":
-            t = item[1]
-            rid = emit_record(schemas[t], tables_per_type[t], item[3], item[4])
-            metas.append(RecordMeta(t, rid, line_no, line_no + (le - ls),
-                                    offset, offset + len(block_bytes)))
-            records.append((t, line_no, line_no + (le - ls)))
-            for _ in range(le - ls):
-                line_labels.append(("record", t, ordinals[t]))
-            ordinals[t] += 1
-        else:
-            noise_entries.append((offset, block_bytes))
+    spans: list[tuple[int, int, int, int]] = []  # (type, row id, start, end line)
+    noise_at: list[int] = []
+    for t in blocks:
+        start = len(lines)
+        if t is None:
+            noise_at.append(start)
+            lines.append(b"")  # drawn below
             line_labels.append(("noise",))
-        offset += len(block_bytes)
-        line_no += le - ls
-    data = b"".join(lines)
-    truth = RelationalOutput([t for group in tables_per_type for t in group],
-                             noise_entries, metas, schemas, source_len=len(data))
-    return SynthResult(data, line_labels, records, truth)
+            continue
+        tspec = spec.templates[t]
+        values = [[] for _ in tspec.fields]
+        arities = [[] for _ in tspec.arrays]
+        _gen_record(tspec, layout(tspec.template), rng, values, arities)
+        row_id = emit_record(schemas[t], tables[t], values, arities)
+        payload = render_record(tspec.template, values, arities)
+        lines += (part + b"\n" for part in payload.split(b"\n")[:-1])
+        line_labels += [("record", t, row_id)] * (len(lines) - start)
+        spans.append((t, row_id, start, len(lines)))
+    for li in reversed(noise_at):
+        lines[li] = _draw_noise(spec, compiled, rng,
+                               lines[li + 1 : li + 1 + DEFAULT_MAX_SPAN_LINES])
+
+    offsets = list(accumulate(map(len, lines), initial=0))
+    metas = [RecordMeta(t, row_id, s, e, offsets[s], offsets[e])
+             for t, row_id, s, e in spans]
+    noise = [(offsets[li], lines[li]) for li in noise_at]
+    truth = RelationalOutput([table for group in tables for table in group], noise,
+                             metas, schemas, source_len=offsets[-1])
+    return SynthResult(b"".join(lines), line_labels, truth)
+
+
+def _draw_noise(spec: SynthSpec, compiled: list[CompiledTemplate],
+                rng: random.Random, after: list[bytes]) -> bytes:
+    """A noise line on which, followed by the lines ``after`` it, no template
+    has a record of the scan (``scoring._next_record``): a match of at most
+    ``DEFAULT_MAX_SPAN_LINES`` lines, whose final newline may be missing only
+    at the end of input."""
+    for _ in range(200):
+        n = rng.randint(*spec.noise_len)
+        line = "".join(rng.choice(_NOISE_ALPHABET) for _ in range(n)).encode() + b"\n"
+        view = TextView.from_bytes(line + b"".join(after))
+        if not any(_next_record(c.rx, view, 0, DEFAULT_MAX_SPAN_LINES, last=0)
+                   for c in compiled):
+            return line
+    raise SynthError("could not draw noise avoiding the templates; "
+                     "a template is too permissive for noisy corpora")
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +367,15 @@ def apply_ops(out: RelationalOutput, script: list[list]) -> RelationalOutput:
 # Success verification
 
 
-def verify_success(extracted: RelationalOutput, truth: SynthResult | dict,
+def verify_success(extracted: RelationalOutput, truth: SynthResult,
                    script: list[list], target_tables: list[Table] | None = None):
     """(ok, diff): boundaries/types must match the labels exactly, and the
     script must turn the extracted tables into the target tables."""
-    if isinstance(truth, dict):
-        truth = truth_from_json(truth)
-    truth_records = truth.records
     if target_tables is None:
         target_tables = apply_ops(truth.truth, script).tables
 
     # 1. Record boundaries and types.
-    truth_by_span = {(s, e): t for t, s, e in truth_records}
+    truth_by_span = {(s, e): t for t, s, e in truth.records}
     type_map: dict[int, int] = {}
     rev_map: dict[int, int] = {}
     ext_spans = [(m.start_line, m.end_line, m.type_index) for m in extracted.records]
@@ -539,10 +532,9 @@ def truth_from_json(doc: dict) -> SynthResult:
     labels = doc.get("line_labels", [])
     if not (isinstance(labels, list) and all(isinstance(l, list) for l in labels)):
         raise SynthError("truth line_labels must be a list of lists")
-    records = [tuple(r) for r in records_doc]
-    metas = [RecordMeta(t, 0, s, e, 0, 0) for t, s, e in records]
+    metas = [RecordMeta(t, 0, s, e, 0, 0) for t, s, e in records_doc]
     truth = RelationalOutput(tables, [], metas, schemas)
-    return SynthResult(b"", [tuple(l) for l in labels], records, truth)
+    return SynthResult(b"", [tuple(l) for l in labels], truth)
 
 
 def _is_table_doc(t) -> bool:

@@ -491,11 +491,6 @@ class CompiledTemplate:
         self._top = _Body(lay, _regex_field(self.charset), top=True)
         self.rx = self._top.rx
 
-    def match_at(self, buf: bytes, pos: int, endpos: int):
-        """(end, values_per_leaf, arities_per_array) of a match at pos."""
-        m = self.rx.match(buf, pos, endpos)
-        return None if m is None else (m.end(), *self.record(m))
-
     def record(self, m: re.Match) -> tuple[list[list[bytes]], list[list[int]]]:
         """The values per leaf and arities per array of one match of ``rx``."""
         values: list[list[bytes]] = [[] for _ in range(self.n_fields)]

@@ -4,7 +4,8 @@
 that the vectorized candidate search reproduces, and ``matches`` decides
 whether a record template is in a structure template's language.
 ``reduce_to_structure_template`` and ``reduce_node`` give the reductions of
-the package's symbol pool as trees.
+the package's symbol pool as trees.  ``match_at`` reads one match of a
+compiled template at a given position, outside the record scan.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from logstruct.templates import (
     FIELD_BYTE,
+    CompiledTemplate,
     Field,
     Node,
     Struct,
@@ -122,3 +124,10 @@ def _match_end(node: Node, text: bytes, pos: int) -> int:
         pos = _match_end(node.body, text, pos + 1)
         if pos < 0:
             return -1
+
+
+def match_at(ct: CompiledTemplate, buf: bytes, pos: int, endpos: int):
+    """``(end, values_per_leaf, arities_per_array)`` of ``ct``'s match at
+    ``pos`` in ``buf[:endpos]``, or None."""
+    m = ct.rx.match(buf, pos, endpos)
+    return None if m is None else (m.end(), *ct.record(m))

@@ -290,13 +290,18 @@ def test_ac8_performance_sanity(tmp_path):
     assert elapsed < 120.0, f"50 MB discover+extract took {elapsed:.1f}s"
     assert reconstruct(out) == fifty.data
 
+    # the fastest of three runs per size: a single short run on a shared
+    # host reads the host's noise as much as the program's scaling
     times = {}
     for size in (10, 100):
         corpus = corpus_from_bytes(perf_corpus(size * mb, seed=1))
         plan = discover(corpus)
-        t0 = time.time()
-        extract_all(corpus, plan)
-        times[size] = time.time() - t0
+        runs = []
+        for _ in range(3):
+            t0 = time.time()
+            extract_all(corpus, plan)
+            runs.append(time.time() - t0)
+        times[size] = min(runs)
     ratio = times[100] / times[10]
     assert 8.0 <= ratio <= 12.0, f"extraction scaling ratio {ratio:.2f}"
     _ok(8, f"50 MB pipeline in {elapsed:.1f}s; 10->100 MB extraction ratio "

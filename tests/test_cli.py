@@ -186,9 +186,15 @@ _GOOD_SPEC = {"templates": [{"template": "[F] F=F\n", "fields": [
     (lambda d: _set(d, ["templates", 0, "weight"], "1"), "weight"),
     (lambda d: _set(d, ["noise_len"], 8), "noise_len"),
     (lambda d: _set(d, ["noise_len"], [9, 2]), "noise_len"),
+    (lambda d: _set(d, ["templates", 0, "fields", 2],
+                    {"kind": "real", "lo_scaled": 0, "hi_scaled": 999, "exp": -1}),
+     "exp"),
+    (lambda d: _set(d, ["templates", 0, "fields", 2, "pad"], -3), "pad"),
+    (lambda d: _set(d, ["record_count"], -4), "record_count"),
 ], ids=["not-object", "no-templates", "template-str", "no-fields", "int-no-lo",
         "int-hi-str", "enum-empty", "lo-above-hi", "min-len-above-max", "min-len-zero",
-        "weight-str", "noise-len-int", "noise-len-reversed"])
+        "weight-str", "noise-len-int", "noise-len-reversed", "real-exp-negative",
+        "int-pad-negative", "record-count-negative"])
 def test_synth_malformed_spec_rejected(edit, named, tmp_path, capsys):
     assert main(["synth", "--spec", str(_spec_file(tmp_path, _GOOD_SPEC)),
                  "--out", str(tmp_path / "ok")]) == 0

@@ -23,6 +23,7 @@ from logstruct.templates import (
     parse_canonical,
     render_record,
 )
+from oracles import match_at
 
 
 def tv(data: bytes) -> TextView:
@@ -76,7 +77,7 @@ class TestParse:
         p = parse_with_template(tv(res.data), compiled)
         assert len(p.record_spans) == 60
         for start, end in p.record_spans:
-            hit = compiled.match_at(res.data, start, end)
+            hit = match_at(compiled, res.data, start, end)
             assert hit is not None and hit[0] == end
             assert render_record(node, hit[1], hit[2]) == res.data[start:end]
 

@@ -1,9 +1,10 @@
 import pytest
 
 from conftest import ArraySpec, FieldSpec, make_spec, single_type_spec, two_type_spec
-from logstruct.corpus import corpus_from_bytes
+from logstruct.corpus import TextView, corpus_from_bytes
 from logstruct.extraction import Table, extract_all
 from logstruct.pipeline import discover
+from logstruct.scoring import DEFAULT_MAX_SPAN_LINES, parse_with_template, scan_records
 from logstruct.synth import (
     OpError,
     SynthError,
@@ -50,17 +51,26 @@ class TestGenerate:
         assert a.records == b.records
 
     def test_noise_never_matches_any_template(self):
+        # the scan with the planted templates starts no record on a noise
+        # line, and its records are exactly the truth's
         spec = two_type_spec(seed=9, noise=0.3)
         res = generate(spec)
         compiled = [compile_template(t.template) for t in spec.templates]
-        corpus = corpus_from_bytes(res.data)
-        offsets = corpus.offsets
-        for i, label in enumerate(res.line_labels):
-            if label[0] != "noise":
-                continue
-            pos = int(offsets[i])
-            endpos = int(offsets[min(i + 10, corpus.n_lines)])
-            assert all(c.match_at(res.data, pos, endpos) is None for c in compiled)
+        scanned = [(k, i, j) for k, i, j, *_ in scan_records(
+            TextView.from_bytes(res.data), compiled, DEFAULT_MAX_SPAN_LINES)]
+        assert all(res.line_labels[i][0] == "record" for _, i, _ in scanned)
+        assert scanned == res.records
+
+    def test_noise_before_a_record_longer_than_the_scan_bound(self):
+        # a noise line before a ten-line record starts an eleven-line match,
+        # which the scan does not take for a record
+        spec = make_spec([(b"(F\n)*F;\n", [FieldSpec("str")], [ArraySpec(10, 10)],
+                           1.0)], noise_fraction=0.2, seed=1)
+        res = generate(spec)
+        assert sum(l[0] == "noise" for l in res.line_labels) == 25
+        p = parse_with_template(TextView.from_bytes(res.data),
+                                spec.templates[0].template)
+        assert p.record_line_spans == [(s, e) for _, s, e in res.records]
 
     def test_field_values_avoid_template_charset(self):
         res = generate(two_type_spec(seed=3))
@@ -78,6 +88,16 @@ class TestGenerate:
         with pytest.raises(SynthError):
             generate(make_spec([(b"F,F", [FieldSpec("str"), FieldSpec("str")],
                                  [], 1.0)]))
+        with pytest.raises(SynthError, match="exp"):
+            generate(make_spec([(b"F,F\n", [FieldSpec("real", 0, 999, exp=-1),
+                                             FieldSpec("str")], [], 1.0)]))
+        with pytest.raises(SynthError, match="pad"):
+            generate(make_spec([(b"F,F\n", [FieldSpec("int", 0, 9, pad=-3),
+                                             FieldSpec("str")], [], 1.0)]))
+        with pytest.raises(SynthError, match="record_count"):
+            generate(single_type_spec(record_count=-4))
+        with pytest.raises(SynthError, match="record_count"):
+            generate(single_type_spec(record_count=0))
 
     def test_spec_json_round_trip(self):
         spec = two_type_spec(seed=5)
@@ -181,8 +201,9 @@ class TestVerify:
         corpus = corpus_from_bytes(res.data)
         from test_extraction import plan_of
         out = extract_all(corpus, plan_of(b"[F:F:F] F=F\n"))
-        shifted = [(t, s + 1, e + 1) for t, s, e in res.records]
-        res.records = shifted
+        for meta in res.truth.records:
+            meta.start_line += 1
+            meta.end_line += 1
         ok, diff = verify_success(out, res, self.script(),
                                   target_tables=apply_ops(res.truth, self.script()).tables)
         assert not ok and diff["stage"] == "boundaries"

@@ -27,6 +27,7 @@ from logstruct.templates import (
 )
 from oracles import (
     extract_record_template,
+    match_at,
     matches,
     reduce_node,
     reduce_to_structure_template,
@@ -209,7 +210,7 @@ class TestCompiledMatcher:
     def test_quoted_array_decomposition(self):
         ct = compile_template(parse_canonical(b'F,"(F,)*F",F\n'))
         buf = b'x,"1,2,3",y\n'
-        end, values, arities = ct.match_at(buf, 0, len(buf))
+        end, values, arities = match_at(ct, buf, 0, len(buf))
         assert end == len(buf)
         assert values == [[b"x"], [b"1", b"2", b"3"], [b"y"]]
         assert arities == [[3]]
@@ -218,24 +219,24 @@ class TestCompiledMatcher:
     def test_multi_line_match(self):
         ct = compile_template(parse_canonical(b"[F]\n=F\n"))
         buf = b"[abc]\n=val\n[x]\n=y\n"
-        end, values, _ = ct.match_at(buf, 0, len(buf))
+        end, values, _ = match_at(ct, buf, 0, len(buf))
         assert end == 11
         assert values == [[b"abc"], [b"val"]]
 
     def test_trailing_newline_optional_at_eof(self):
         ct = compile_template(parse_canonical(b"F,F\n"))
-        assert ct.match_at(b"a,b", 0, 3)[0] == 3
-        assert ct.match_at(b"a,b\nrest\n", 0, 4)[0] == 4
+        assert match_at(ct, b"a,b", 0, 3)[0] == 3
+        assert match_at(ct, b"a,b\nrest\n", 0, 4)[0] == 4
 
     def test_fields_exclude_template_charset(self):
         ct = compile_template(parse_canonical(b"F,F\n"))
-        assert ct.match_at(b"a;b,c\n", 0, 6)[1] == [[b"a;b"], [b"c"]]
-        assert ct.match_at(b"a,b,c\n", 0, 6) is None
+        assert match_at(ct, b"a;b,c\n", 0, 6)[1] == [[b"a;b"], [b"c"]]
+        assert match_at(ct, b"a,b,c\n", 0, 6) is None
 
     def test_nested_array_decomposition(self):
         ct = compile_template(parse_canonical(b"((F;)*F:F,)*(F;)*F:F.\n"))
         buf = b"1;2:a,3;4;5:b.\n"
-        end, values, arities = ct.match_at(buf, 0, len(buf))
+        end, values, arities = match_at(ct, buf, 0, len(buf))
         assert end == len(buf)
         assert values == [[b"1", b"2", b"3", b"4", b"5"], [b"a", b"b"]]
         assert arities == [[2], [2, 3]]
@@ -244,13 +245,13 @@ class TestCompiledMatcher:
     def test_array_body_ending_in_terminator_byte_cut_at_eof(self):
         # the body's own final newline is not the array's terminator
         ct = compile_template(parse_canonical(b"(F\n,)*F\n\n"))
-        assert ct.match_at(b"a\n,b\n", 0, 5) == (5, [[b"a", b"b"]], [[2]])
+        assert match_at(ct, b"a\n,b\n", 0, 5) == (5, [[b"a", b"b"]], [[2]])
 
     def test_slow_path_separator_inside_body(self):
         # body literal contains the outer separator byte
         ct = compile_template(parse_canonical(b"(F,F;)*F,F.\n"))
         buf = b"a,b;c,d;e,f.\n"
-        end, values, arities = ct.match_at(buf, 0, len(buf))
+        end, values, arities = match_at(ct, buf, 0, len(buf))
         assert end == len(buf)
         assert values == [[b"a", b"c", b"e"], [b"b", b"d", b"f"]]
         assert arities == [[3]]
@@ -267,7 +268,7 @@ def test_compiled_matcher_agrees_with_extraction(rt):
     values_in_order = (b"x%d" % i for i in itertools.count())
     raw = re.sub(b"F", lambda _: next(values_in_order), rt)
     ct = compile_template(reduced)
-    hit = ct.match_at(raw, 0, len(raw))
+    hit = match_at(ct, raw, 0, len(raw))
     extracted = extract_record_template(raw, charset)
     assert hit is not None and hit[0] == len(raw)
     assert matches(reduced, extracted)
