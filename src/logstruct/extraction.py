@@ -6,6 +6,8 @@ tables).  Each field placeholder maps to exactly one column.  Records are
 found by the scan that scoring uses (see :mod:`logstruct.scoring`); unmatched
 lines go to a noise sidecar, so records plus noise reconstruct the corpus.
 Only tables, noise and the record index are stored; the rest is derived.
+The record index (:class:`RecordIndex`) holds no object per record: it is
+six int64 columns, one per ``RecordMeta`` field, appended to during the scan.
 
 ``write_output`` writes the stored form in every format: the tables as CSV,
 the noise sidecar ``_noise.txt``, and the record index ``_records.csv`` with
@@ -19,10 +21,11 @@ import csv
 import gc
 import json
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .corpus import Corpus, TextView
 from .pipeline import ExtractionPlan
@@ -93,6 +96,9 @@ class Table:
 
 @dataclass(slots=True)
 class RecordMeta:
+    """One record of a ``RecordIndex``: its type, the id of its root row,
+    and its half-open line and byte spans."""
+
     type_index: int
     row_id: int
     start_line: int
@@ -101,13 +107,57 @@ class RecordMeta:
     end_byte: int
 
 
+_RECORD_COLUMNS = [f.name for f in fields(RecordMeta)]
+
+
+class RecordIndex:
+    """The record index: one ``array('q')`` column per ``RecordMeta`` field,
+    so a record costs six int64 values and no object.  Iterating over it
+    builds ``RecordMeta`` row views; a value outside ``[-2**63, 2**63)``
+    raises OverflowError."""
+
+    __slots__ = tuple(_RECORD_COLUMNS)
+
+    def __init__(self, rows=()):
+        """The index of ``rows``, each six integers in ``RecordMeta``'s
+        field order."""
+        for name in _RECORD_COLUMNS:
+            setattr(self, name, array("q"))
+        for column, values in zip(self.columns, zip(*rows)):
+            column.extend(values)
+
+    @property
+    def columns(self) -> tuple[array, ...]:
+        return tuple(getattr(self, name) for name in _RECORD_COLUMNS)
+
+    def append(self, type_index: int, row_id: int, start_line: int,
+               end_line: int, start_byte: int, end_byte: int) -> None:
+        self.type_index.append(type_index)
+        self.row_id.append(row_id)
+        self.start_line.append(start_line)
+        self.end_line.append(end_line)
+        self.start_byte.append(start_byte)
+        self.end_byte.append(end_byte)
+
+    def __len__(self) -> int:
+        return len(self.type_index)
+
+    def __iter__(self):
+        return map(RecordMeta, *self.columns)
+
+
 @dataclass
 class RelationalOutput:
-    """Tables, ``(offset, line)`` noise, a ``RecordMeta`` per record, schemas."""
+    """Tables, ``(offset, line)`` noise, the record index, schemas.
+
+    ``records`` is a ``RecordIndex``: its int64 columns hold every line and
+    byte number of a record, so they lie below 2**63.  The readers of files
+    from outside the program, ``read_extracted`` and
+    ``synth.truth_from_json``, reject a number outside ``[0, 2**63)``."""
 
     tables: list[Table]
     noise: list[tuple[int, bytes]]
-    records: list[RecordMeta]
+    records: RecordIndex
     schemas: list[TemplateSchema]
     source_len: int = 0
 
@@ -123,28 +173,32 @@ class RelationalOutput:
                 return t
         raise KeyError(name)
 
+    def root_rows(self) -> list[list[list[str]]]:
+        """The rows of each record type's root table, by type index."""
+        return [self.table(sc.tables[0].name).rows for sc in self.schemas]
 
-def _new_row(table: Table, parent_id: int | None) -> tuple[int, list[str]]:
-    rid = len(table.rows)
+
+def _new_row(table: Table, parent: list[str] | None) -> list[str]:
+    """A new row of ``table``; a child row's ``_parent_id`` is its parent's
+    ``_id`` string itself."""
     row = [""] * len(table.columns)
-    row[0] = str(rid)
-    if parent_id is not None:
-        row[1] = str(parent_id)
+    row[0] = str(len(table.rows))
+    if parent is not None:
+        row[1] = parent[0]
     table.rows.append(row)
-    return rid, row
+    return row
 
 
 def emit_record(schema: TemplateSchema, tables: list[Table],
                 values: list[list[bytes]], arities: list[list[int]]) -> int:
     """Append one record's rows; returns its root row id."""
-    root_id, root_row = _new_row(tables[0], None)
     _emit(schema.layout, schema, tables, [iter(v) for v in values],
-          [iter(a) for a in arities], root_id, root_row)
-    return root_id
+          [iter(a) for a in arities], _new_row(tables[0], None))
+    return len(tables[0].rows) - 1
 
 
 def _emit(lay: Layout, schema: TemplateSchema, tables: list[Table],
-          values: list, arities: list, row_id: int, row: list[str]) -> None:
+          values: list, arities: list, row: list[str]) -> None:
     """Fill ``row`` from the next values of ``lay``'s leaves, and add child
     rows for its arrays."""
     for kind, index, _, body in lay.slots:
@@ -153,8 +207,7 @@ def _emit(lay: Layout, schema: TemplateSchema, tables: list[Table],
         elif kind == ARRAY:
             table = tables[index + 1]
             for _ in range(next(arities[index])):
-                _emit(body, schema, tables, values, arities,
-                      *_new_row(table, row_id))
+                _emit(body, schema, tables, values, arities, _new_row(table, row))
 
 
 @contextmanager
@@ -192,7 +245,7 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
     schemas = [build_schema(i, c.template) for i, c in enumerate(compiled)]
     tables_per_type = new_tables(schemas)
     noise: list[tuple[int, bytes]] = []
-    records: list[RecordMeta] = []
+    records = RecordIndex()
 
     with _gc_paused():
         prev = 0  # the first line after the previous record
@@ -200,7 +253,7 @@ def extract_all(corpus: Corpus, plan: ExtractionPlan) -> RelationalOutput:
                                                           plan.max_span_lines):
             _noise_lines(tv, prev, i, noise)
             rid = emit_record(schemas[k], tables_per_type[k], values, arities)
-            records.append(RecordMeta(k, rid, i, j, int(tv.offsets[i]), end))
+            records.append(k, rid, i, j, tv.offsets[i], end)
             prev = j
         _noise_lines(tv, prev, tv.n_lines, noise)
 
@@ -221,15 +274,11 @@ def _noise_lines(tv: TextView, first: int, stop: int,
 # Record re-serialization (conservation checks)
 
 
-def record_values(out: RelationalOutput, meta: RecordMeta,
-                  children_index: dict | None = None):
-    """Recover (values, arities) for one record from the tables via FK joins."""
-    schema = out.schemas[meta.type_index]
-    if children_index is None:
-        children_index = build_children_index(out)
+def record_values(schema: TemplateSchema, children_index: dict, root: list[str]):
+    """Recover (values, arities) of the record whose root row is ``root``
+    from the tables via FK joins (``build_children_index``)."""
     values: list[list[bytes]] = [[] for _ in range(schema.layout.n_leaves)]
     arities: list[list[int]] = [[] for _ in schema.layout.arrays]
-    root = out.table(schema.tables[0].name).rows[meta.row_id]
     _collect(schema.layout, schema, children_index, root, values, arities)
     return values, arities
 
@@ -266,9 +315,10 @@ def _nested(lay: Layout, schema: TemplateSchema, children_index: dict,
     return obj
 
 
-def build_children_index(out: RelationalOutput) -> dict:
+def build_children_index(tables: list[Table]) -> dict:
+    """``(child table name, parent id) -> the child rows``, in row order."""
     index: dict = {}
-    for t in out.tables:
+    for t in tables:
         if len(t.columns) > 1 and t.columns[1] == "_parent_id":
             for row in t.rows:
                 index.setdefault((t.name, int(row[1])), []).append(row)
@@ -284,25 +334,24 @@ def reconstruct(out: RelationalOutput) -> bytes:
     renders to ``end_byte - start_byte`` bytes (one more at an EOF without
     a final newline), and the last piece ends at ``source_len``.  Otherwise
     ValueError."""
-    pieces: list[tuple[int, RecordMeta | None, bytes]] = [
+    # (start byte, line span and end byte or None for a noise line, text)
+    pieces: list[tuple[int, tuple[int, int, int] | None, bytes]] = [
         (start, None, text) for start, text in out.noise]
-    idx = build_children_index(out)
-    for meta in out.records:
-        values, arities = record_values(out, meta, idx)
-        schema = out.schemas[meta.type_index]
-        rendered = render_record(schema.template, values, arities)
-        if (meta.end_byte == out.source_len
-                and meta.end_byte - meta.start_byte == len(rendered) - 1):
+    idx = build_children_index(out.tables)
+    roots = out.root_rows()
+    for k, rid, first, last, start, stop in zip(*out.records.columns):
+        schema = out.schemas[k]
+        rendered = render_record(schema.template,
+                                 *record_values(schema, idx, roots[k][rid]))
+        if stop == out.source_len and stop - start == len(rendered) - 1:
             rendered = rendered[:-1]  # record at EOF without trailing newline
-        pieces.append((meta.start_byte, meta, rendered))
+        pieces.append((start, (first, last, stop), rendered))
     pieces.sort(key=itemgetter(0))
     end = line = 0
-    for start, meta, text in pieces:
-        first, last = ((line, line + 1) if meta is None
-                       else (meta.start_line, meta.end_line))
-        if not (start == end and first == line < last) or (
-                meta is not None and meta.end_byte != start + len(text)):
-            kind = "noise line" if meta is None else "record"
+    for start, span, text in pieces:
+        first, last, stop = span or (line, line + 1, start + len(text))
+        if not (start == end and first == line < last) or stop != start + len(text):
+            kind = "noise line" if span is None else "record"
             raise ValueError(f"reconstruct: a {kind} of {len(text)} bytes at "
                              f"byte {start}, lines [{first}, {last}), follows "
                              f"byte {end}, line {line}")
@@ -320,10 +369,10 @@ def reconstruct(out: RelationalOutput) -> bytes:
 def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[str]:
     """Write the files of an extraction: in every format its stored form,
     the CSV tables, the noise sidecar ``_noise.txt`` and the record index
-    ``_records.csv`` (one ``RecordMeta`` per row) with ``_manifest.json``
-    (``source_len``, templates and tables); unless ``fmt`` is ``csv``, also
-    ``records.ndjson`` (per record, its ``_nested`` form plus ``_type``,
-    ``_row`` and ``_span``)."""
+    ``_records.csv`` (a row per record, a column per ``RecordMeta`` field)
+    with ``_manifest.json`` (``source_len``, templates and tables); unless
+    ``fmt`` is ``csv``, also ``records.ndjson`` (per record, its ``_nested``
+    form plus ``_type``, ``_row`` and ``_span``)."""
     if fmt not in ("csv", "json", "both"):
         raise ValueError("format must be csv, json, or both")
     os.makedirs(directory, exist_ok=True)
@@ -333,7 +382,7 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
         return os.path.join(directory, name)
 
     csv_files = [(f"{t.name}.csv", t.columns, t.rows) for t in out.tables]
-    csv_files.append(("_records.csv", _RECORD_COLUMNS, map(_record_row, out.records)))
+    csv_files.append(("_records.csv", _RECORD_COLUMNS, zip(*out.records.columns)))
     try:
         for name, columns, rows in csv_files:
             fname = path(name)
@@ -344,14 +393,16 @@ def write_output(out: RelationalOutput, directory, fmt: str = "both") -> list[st
             written.append(fname)
         if fmt != "csv":
             fname = path("records.ndjson")
-            children_index = build_children_index(out)
+            children_index = build_children_index(out.tables)
+            roots = out.root_rows()
+            r = out.records
             with open(fname, "w", encoding="latin-1") as fh:
-                for m in out.records:
-                    schema = out.schemas[m.type_index]
-                    root = out.table(schema.tables[0].name).rows[m.row_id]
-                    obj = _nested(schema.layout, schema, children_index, root)
-                    obj.update(_type=schema.tables[0].name, _row=m.row_id,
-                               _span=[m.start_line, m.end_line])
+                for k, rid, first, last in zip(r.type_index, r.row_id,
+                                               r.start_line, r.end_line):
+                    schema = out.schemas[k]
+                    obj = _nested(schema.layout, schema, children_index, roots[k][rid])
+                    obj.update(_type=schema.tables[0].name, _row=rid,
+                               _span=[first, last])
                     fh.write(json.dumps(obj, sort_keys=True))
                     fh.write("\n")
             written.append(fname)
@@ -384,18 +435,15 @@ def _table_specs(schemas: list[TemplateSchema]) -> list[dict]:
             for sc in schemas for ts in sc.tables]
 
 
-_RECORD_COLUMNS = [f.name for f in fields(RecordMeta)]
-_record_row = attrgetter(*_RECORD_COLUMNS)
-
-
 def read_extracted(directory) -> RelationalOutput:
     """Load a written extraction back from its tables, ``_records.csv``,
     ``_noise.txt`` and ``_manifest.json``; ``records.ndjson`` is derived and
     not read.
 
     The files may come from outside the program: a malformed manifest,
-    record index or noise sidecar, or a table file that does not hold its
-    table, raises ValueError.
+    record index (a value that is no decimal integer in ``[0, 2**63)``) or
+    noise sidecar, or a table file that does not hold its table, raises
+    ValueError.
     """
     from .templates import parse_canonical
 
@@ -424,14 +472,16 @@ def read_extracted(directory) -> RelationalOutput:
     rows = _read_table(fname, _RECORD_COLUMNS)
     if not all(map(str.isdecimal, chain.from_iterable(rows))):
         raise ValueError(f"{fname} must hold non-negative decimal integers")
+    try:
+        records = RecordIndex(map(int, r) for r in rows)
+    except OverflowError:
+        raise ValueError(f"{fname} must hold integers below 2**63") from None
     noise = _read_noise(os.path.join(directory, "_noise.txt"), source_len)
-    out = RelationalOutput(tables, noise, [RecordMeta(*map(int, r)) for r in rows],
-                           schemas, source_len)
-    root_rows = [len(out.table(sc.tables[0].name).rows) for sc in schemas]
-    for m in out.records:
-        if not (m.type_index < len(schemas) and m.row_id < root_rows[m.type_index]):
-            raise ValueError(f"{fname}: record of type {m.type_index}, row "
-                             f"{m.row_id}: no such root row")
+    out = RelationalOutput(tables, noise, records, schemas, source_len)
+    root_rows = list(map(len, out.root_rows()))
+    for k, rid in zip(records.type_index, records.row_id):
+        if not (k < len(schemas) and rid < root_rows[k]):
+            raise ValueError(f"{fname}: record of type {k}, row {rid}: no such root row")
     return out
 
 

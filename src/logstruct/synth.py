@@ -21,7 +21,7 @@ from itertools import accumulate
 
 from .corpus import TextView
 from .extraction import (
-    RecordMeta,
+    RecordIndex,
     RelationalOutput,
     Table,
     build_schema,
@@ -205,7 +205,8 @@ class SynthResult:
     @property
     def records(self) -> list[tuple[int, int, int]]:
         """``(type, start_line, end_line)`` of each planted record."""
-        return [(m.type_index, m.start_line, m.end_line) for m in self.truth.records]
+        r = self.truth.records
+        return list(zip(r.type_index, r.start_line, r.end_line))
 
 
 def generate(spec: SynthSpec) -> SynthResult:
@@ -250,11 +251,11 @@ def generate(spec: SynthSpec) -> SynthResult:
                                lines[li + 1 : li + 1 + DEFAULT_MAX_SPAN_LINES])
 
     offsets = list(accumulate(map(len, lines), initial=0))
-    metas = [RecordMeta(t, row_id, s, e, offsets[s], offsets[e])
-             for t, row_id, s, e in spans]
+    records = RecordIndex((t, row_id, s, e, offsets[s], offsets[e])
+                          for t, row_id, s, e in spans)
     noise = [(offsets[li], lines[li]) for li in noise_at]
     truth = RelationalOutput([table for group in tables for table in group], noise,
-                             metas, schemas, source_len=offsets[-1])
+                             records, schemas, source_len=offsets[-1])
     return SynthResult(b"".join(lines), line_labels, truth)
 
 
@@ -304,8 +305,9 @@ _OP_ARGS = {"Concat": (str, str, str), "GroupConcat": (str, str, str, str),
 
 
 def apply_ops(out: RelationalOutput, script: list[list]) -> RelationalOutput:
-    """Apply a script of relational ops to a copy of the tables.  The script
-    may come from outside the program: a malformed one raises OpError."""
+    """Apply a script of relational ops to a copy of the tables; the result
+    shares ``out``'s record index.  The script may come from outside the
+    program: a malformed one raises OpError."""
     if not isinstance(script, list):
         raise OpError("a script must be a list of ops")
     tables = [Table(t.name, list(t.columns), [list(r) for r in t.rows])
@@ -359,7 +361,7 @@ def apply_ops(out: RelationalOutput, script: list[list]) -> RelationalOutput:
             (r,) = args
             _find_table(tables, r, i, name)
             tables = [t for t in tables if t.name != r]
-    return RelationalOutput(tables, list(out.noise), list(out.records), out.schemas,
+    return RelationalOutput(tables, list(out.noise), out.records, out.schemas,
                             out.source_len)
 
 
@@ -378,7 +380,8 @@ def verify_success(extracted: RelationalOutput, truth: SynthResult,
     truth_by_span = {(s, e): t for t, s, e in truth.records}
     type_map: dict[int, int] = {}
     rev_map: dict[int, int] = {}
-    ext_spans = [(m.start_line, m.end_line, m.type_index) for m in extracted.records]
+    r = extracted.records
+    ext_spans = list(zip(r.start_line, r.end_line, r.type_index))
     if len(ext_spans) != len(truth_by_span):
         return False, {"stage": "boundaries",
                        "extracted": len(ext_spans), "expected": len(truth_by_span)}
@@ -526,14 +529,16 @@ def truth_from_json(doc: dict) -> SynthResult:
     records_doc = doc.get("records")
     if not (isinstance(records_doc, list) and all(
             isinstance(r, list) and len(r) == 3 and all(type(x) is int for x in r)
-            and 0 <= r[0] < len(schemas) for r in records_doc)):
+            and 0 <= r[0] < len(schemas) and 0 <= r[1] < 2**63 and 0 <= r[2] < 2**63
+            for r in records_doc)):
         raise SynthError("truth records must be [type, start_line, end_line] "
-                         "integer triples of a listed template")
+                         "integer triples of a listed template, with line "
+                         "numbers in [0, 2**63)")
     labels = doc.get("line_labels", [])
     if not (isinstance(labels, list) and all(isinstance(l, list) for l in labels)):
         raise SynthError("truth line_labels must be a list of lists")
-    metas = [RecordMeta(t, 0, s, e, 0, 0) for t, s, e in records_doc]
-    truth = RelationalOutput(tables, [], metas, schemas)
+    records = RecordIndex((t, 0, s, e, 0, 0) for t, s, e in records_doc)
+    truth = RelationalOutput(tables, [], records, schemas)
     return SynthResult(b"", [tuple(l) for l in labels], truth)
 
 

@@ -339,7 +339,8 @@ def _edit_records(out, edit):
     lambda r: _set_cell(r, 1, "start_line", "-1"),
     lambda r: _set_cell(r, 1, "type_index", "1"),
     lambda r: _set_cell(r, 1, "row_id", str(10**6)),
-], ids=["missing", "header", "row-short", "float", "negative", "type", "row"])
+    lambda r: _set_cell(r, 1, "start_byte", str(2**64)),
+], ids=["missing", "header", "row-short", "float", "negative", "type", "row", "huge"])
 def test_verify_malformed_record_index_rejected(edit, verified, tmp_path, capsys):
     out, truth = _inputs(verified, tmp_path)
     if edit is None:
@@ -417,13 +418,16 @@ def test_verify_malformed_noise_sidecar_rejected(edit, verified, tmp_path, capsy
     lambda t: _set(t, ["tables", 0, "rows", 0], ["0"]),
     lambda t: _set(t, ["tables", 0, "rows", 0, 1], 5),
     lambda t: _set(t, ["records", 0, 0], 3),
+    lambda t: _set(t, ["records", 0, 1], -1),
+    lambda t: _set(t, ["records", 0, 2], 2**63),
     lambda t: _set(t, ["line_labels"], [7]),
     lambda t: _set(t, ["script"], 5),
     lambda t: _set(t, ["script"], [5]),
     lambda t: _set(t, ["script"], [["Trim", "t0", "f0", "1", 0]]),
 ], ids=["empty", "not-object", "templates-int", "no-tables", "table-str",
         "table-name-int", "columns-str", "row-short", "value-int",
-        "record-type", "labels-int", "script-int", "script-op-int", "script-arg-str"])
+        "record-type", "record-line-negative", "record-line-huge", "labels-int",
+        "script-int", "script-op-int", "script-arg-str"])
 def test_verify_malformed_truth_rejected(edit, verified, tmp_path, capsys):
     out, truth = _inputs(verified, tmp_path)
     _edit_json(truth, edit)

@@ -3,6 +3,7 @@ import gc
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -86,17 +87,25 @@ def test_unmatched_lines_in_noise_sidecar():
     assert out.noise == [(4, b"???\n")]
 
 
-def test_zero_matches_yields_empty_tables_full_noise():
+def test_zero_matches_yields_empty_tables_full_noise(tmp_path):
     out = extract_all(corpus_from_bytes(b"xx\nyy\n"), plan_of(b"F=F\n"))
     assert out.table("t0").rows == []
     assert len(out.noise) == 2
+    assert len(out.records) == 0
     assert reconstruct(out) == b"xx\nyy\n"
+    # an empty record index is written as its header alone and read back
+    write_output(out, tmp_path, "both")
+    assert (tmp_path / "_records.csv").read_bytes() == \
+        b"type_index,row_id,start_line,end_line,start_byte,end_byte\r\n"
+    back = read_extracted(tmp_path)
+    assert len(back.records) == 0 and list(back.records) == []
+    assert reconstruct(back) == b"xx\nyy\n"
 
 
 @pytest.mark.parametrize("damage", [
     lambda out: out.noise.pop(0),
-    lambda out: out.records.pop(),
-    lambda out: setattr(out.records[0], "end_line", 2),
+    lambda out: [column.pop() for column in out.records.columns],
+    lambda out: out.records.end_line.__setitem__(0, 2),
     lambda out: setattr(out, "source_len", out.source_len + 1),
 ], ids=["noise-line-dropped", "last-record-dropped", "line-span", "source-len"])
 def test_reconstruct_rejects_records_and_noise_that_do_not_tile(damage):
@@ -292,6 +301,33 @@ def test_record_walks_leave_no_garbage_per_record():
         counts[n] = {"generate": gen, "extract_all": ext, "reconstruct": rec}
     for step, small in counts[60].items():
         assert counts[240][step] <= small, counts
+
+
+def test_extraction_memory_per_record_is_bounded():
+    # extract_all on the benchmark's extract_bulk mix of three record types
+    # (one with an array), 20,000 records: the memory it retains is the
+    # tables' rows and values, the noise and the record index, some 460
+    # bytes per record.  An object per record (a record object and its
+    # integers, a new _parent_id string per child row) costs some 210 more.
+    spec = make_spec(
+        [(b"[F] F=F\n", [FieldSpec("str", min_len=4, max_len=8), FieldSpec("str"),
+                         FieldSpec("int", 0, 10**6)], [], 0.45),
+         (b"<F>|F|F\n", [FieldSpec("int", 0, 10**6), FieldSpec("str"),
+                         FieldSpec("int", 0, 999)], [], 0.35),
+         (b"{F} (F,)*F;\n", [FieldSpec("str"), FieldSpec("int", 0, 9999)],
+          [ArraySpec(1, 4)], 0.20)],
+        noise_fraction=0.15, record_count=20_000, seed=1)
+    corpus = corpus_from_bytes(generate(spec).data)
+    plan = plan_of(b"[F] F=F\n", b"<F>|F|F\n", b"{F} (F,)*F;\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = extract_all(corpus, plan)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out.records) == 20_000
+    assert retained / len(out.records) < 560, retained
 
 
 def test_column_arity_is_constant_per_table():

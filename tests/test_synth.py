@@ -124,9 +124,9 @@ def mini_output():
     child = table("t0_a0", ["_id", "_parent_id", "f2"],
                   [["0", "0", "1"], ["1", "0", "2"], ["2", "0", "3"],
                    ["3", "1", "7"]])
-    from logstruct.extraction import RelationalOutput, build_schema
+    from logstruct.extraction import RecordIndex, RelationalOutput, build_schema
     schema = build_schema(0, parse_canonical(b'F,"(F,)*F",F\n'))
-    return RelationalOutput([root, child], [], [], [schema])
+    return RelationalOutput([root, child], [], RecordIndex(), [schema])
 
 
 class TestOps:
@@ -201,9 +201,10 @@ class TestVerify:
         corpus = corpus_from_bytes(res.data)
         from test_extraction import plan_of
         out = extract_all(corpus, plan_of(b"[F:F:F] F=F\n"))
-        for meta in res.truth.records:
-            meta.start_line += 1
-            meta.end_line += 1
+        records = res.truth.records
+        for column in (records.start_line, records.end_line):
+            for n in range(len(column)):
+                column[n] += 1
         ok, diff = verify_success(out, res, self.script(),
                                   target_tables=apply_ops(res.truth, self.script()).tables)
         assert not ok and diff["stage"] == "boundaries"

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logstruct.extraction import (
-    RecordMeta,
-    RelationalOutput,
+    build_children_index,
     build_schema,
     emit_record,
     new_tables,
@@ -278,6 +277,5 @@ def test_compiled_matcher_agrees_with_extraction(rt):
     schema = build_schema(0, ct.template)
     (tables,) = new_tables([schema])
     row_id = emit_record(schema, tables, values, arities)
-    out = RelationalOutput(tables, [], [RecordMeta(0, row_id, 0, 1, 0, len(raw))],
-                           [schema])
-    assert record_values(out, out.records[0]) == (values, arities)
+    children = build_children_index(tables)
+    assert record_values(schema, children, tables[0].rows[row_id]) == (values, arities)
