@@ -10,7 +10,6 @@ from .generation import (
     GenerationConfig,
     SearchResult,
     exhaustive_search,
-    gen_for_charset,
     greedy_search,
 )
 from .pipeline import ExtractionPlan, PipelineConfig, SamplingConfig, discover, report

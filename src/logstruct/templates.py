@@ -412,6 +412,12 @@ class _SymbolPool:
         """Length of ``canonical_of(syms)``."""
         return sum(map(len, map(self.canon.__getitem__, syms)))
 
+    def byte_lens(self) -> list[int]:
+        """``byte_len`` of each symbol: of ``chr(b)`` at ``b`` for the 256
+        byte symbols, then of the i-th array symbol at ``256 + i``."""
+        return ([len(self.canon[chr(b)]) for b in range(256)]
+                + [len(key) for key in self.sym_by_key])
+
     def reduce_line(self, line: bytes) -> str:
         """The reduced symbols of one line template, newline included."""
         syms = self.line_memo.get(line)

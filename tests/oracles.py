@@ -6,14 +6,22 @@ whether a record template is in a structure template's language.
 ``reduce_to_structure_template`` and ``reduce_node`` give the reductions of
 the package's symbol pool as trees.  ``match_at`` reads one match of a
 compiled template at a given position, outside the record scan.
+``gen_one_reference`` is the candidate generation the package's
+``generation._gen_one`` reproduces: it reduces the first span of every group
+and takes the union of every key's spans one key at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from logstruct import generation
+from logstruct.generation import CandidateSet, CandidateStats, GenerationConfig
 from logstruct.templates import (
     FIELD_BYTE,
+    NEWLINE,
     CompiledTemplate,
     Field,
     Node,
@@ -131,3 +139,100 @@ def match_at(ct: CompiledTemplate, buf: bytes, pos: int, endpos: int):
     ``pos`` in ``buf[:endpos]``, or None."""
     m = ct.rx.match(buf, pos, endpos)
     return None if m is None else (m.end(), *ct.record(m))
+
+
+def gen_one_reference(ctx: generation._GenContext, charset: frozenset[int],
+                      cfg: GenerationConfig) -> CandidateSet:
+    """The candidates of one charset (see the module docstring)."""
+    out = CandidateSet()
+    n = ctx.n
+    if n == 0:
+        return out
+    table = np.zeros(256, dtype=bool)
+    table[list(charset)] = True
+    table[NEWLINE] = True
+    mask = table[ctx.arr]
+
+    # Template text: charset bytes verbatim, the first byte of each field run
+    # becomes the placeholder; the last line gets its missing newline.
+    field_start = np.empty_like(mask)
+    field_start[0] = True
+    field_start[1:] = mask[:-1]
+    tb = np.where(mask, ctx.arr, np.uint8(FIELD_BYTE))[mask | field_start].tobytes()
+    lines = (tb + b"\n" if ctx.missing_newline else tb).split(b"\n")[:-1]
+    ids = {t: i for i, t in enumerate(dict.fromkeys(lines))}
+    line_id = np.fromiter(map(ids.__getitem__, lines), dtype=np.int64, count=n)
+    pool = ctx.symbol_pool
+    reduced = [pool.reduce_line(t + b"\n") for t in ids]
+    line_syms = [reduced[i] for i in line_id.tolist()]
+    has_field = np.array([FIELD_BYTE in t for t in ids])[line_id]
+    hasFp = np.concatenate(([0], np.cumsum(has_field)))
+
+    offs = ctx.offsets
+    # Formatting bytes before each line start, counted per line: a prefix sum
+    # over every byte would hold 8 bytes per input byte.
+    line_maskp = np.concatenate(
+        ([0], np.cumsum(np.add.reduceat(mask, offs[:-1], dtype=np.int64))))
+    threshold = cfg.alpha * len(ctx.view.data) / 100.0
+    bins: dict[bytes, list] = {}  # key -> [(w, span start lines)]
+
+    # span_key[i] == span_key[j] exactly when spans i and j of w lines have
+    # equal line templates.
+    span_key = line_id
+    for w in range(1, min(cfg.max_span_lines, n) + 1):
+        if w > 1:
+            # gid < n - w + 2 and line ids < n, so the pair fits in int64.
+            span_key = gid[: n - w + 1] * len(ids) + line_id[w - 1 :]
+        starts_sorted = np.argsort(span_key, kind="stable")
+        ks = span_key[starts_sorted]
+        first = np.concatenate(([True], ks[1:] != ks[:-1]))
+        gid = np.empty_like(starts_sorted)
+        gid[starts_sorted] = np.cumsum(first) - 1  # the rank of span_key[i]
+        bounds = np.flatnonzero(first)
+        counts = np.diff(np.concatenate((bounds, [len(ks)])))
+        # The spans of a group all hold a field, or none does.
+        valid = (hasFp[w:] - hasFp[: n - w + 1]) > 0
+        keep = valid[starts_sorted[bounds]]
+        bounds, counts = bounds[keep], counts[keep]
+        n_groups = len(bounds)
+
+        if n_groups <= generation.MAX_KEYS_PER_WINDOW:
+            proc = range(n_groups)
+        else:
+            # Too many distinct keys (noise flood): take the
+            # MAX_KEYS_PER_WINDOW groups with the most spans, ties by first
+            # start line.
+            by_count = np.lexsort((starts_sorted[bounds], -counts))
+            proc = np.sort(by_count[: generation.MAX_KEYS_PER_WINDOW])
+
+        for g in proc:
+            b0 = bounds[g]
+            first_line = int(starts_sorted[b0])
+            key = pool.reduce_span(line_syms[first_line : first_line + w])
+            bins.setdefault(key, []).append(
+                (w, starts_sorted[b0 : b0 + int(counts[g])].copy()))
+
+    # Coverage of a bin is the byte length of the union of all its spans:
+    # every enumerated span contributes, but overlap (multi-record merges,
+    # window chains) is not double counted, otherwise merged templates would
+    # be ranked above the record template itself.
+    for key, groups in bins.items():
+        starts = np.concatenate([s for _, s in groups])
+        ends = np.concatenate([s + w for w, s in groups])
+        order = np.argsort(starts, kind="stable")
+        s_arr = starts[order]
+        e_arr = np.maximum.accumulate(ends[order])
+        newseg = np.empty(len(s_arr), dtype=bool)
+        newseg[0] = True
+        newseg[1:] = s_arr[1:] > e_arr[:-1]
+        seg_idx = np.flatnonzero(newseg)
+        seg_start = s_arr[seg_idx]
+        seg_end = np.maximum.reduceat(e_arr, seg_idx)
+        cov = int((offs[seg_end] - offs[seg_start]).sum())
+        nfc = int((line_maskp[seg_end] - line_maskp[seg_start]).sum())
+        if ctx.missing_newline and seg_end[-1] == n:
+            cov += 1
+            nfc += 1
+        if cov >= threshold:
+            out.entries[key] = CandidateStats(cov, nfc)
+    return out

@@ -2,20 +2,25 @@ import random
 
 import pytest
 
-from conftest import FieldSpec, generate, make_spec
+from conftest import ArraySpec, FieldSpec, generate, make_spec
 from logstruct import generation
 from logstruct.corpus import TextView, corpus_from_bytes
 from logstruct.generation import (
     GenerationConfig,
     SearchSpaceError,
     exhaustive_search,
-    gen_for_charset,
     greedy_search,
 )
-from logstruct.templates import _SymbolPool, canonical_string
-from oracles import extract_record_template, reduce_to_structure_template
+from logstruct.templates import _reduce_seq, _SymbolPool, canonical_string
+from oracles import extract_record_template, gen_one_reference, reduce_to_structure_template
 
 NL = ord("\n")
+
+
+def gen_for_charset(view, charset, cfg=None):
+    """The candidates of one formatting charset ('\\n' is implied)."""
+    return generation._gen_one(generation._GenContext(view), frozenset(charset),
+                               cfg or GenerationConfig())
 
 
 def oracle_bins(data, charset, alpha=10.0, max_span=10, max_groups=None):
@@ -257,3 +262,135 @@ class TestSearches:
         best = max(g.candidates.entries.items(),
                    key=lambda kv: kv[1].coverage * kv[1].non_field_coverage)
         assert best[0] in e.candidates.entries
+
+
+# The record mixes of the benchmark's extract_bulk and discover_small inputs.
+_INT = FieldSpec("int", 0, 10**6)
+BULK_MIX = [
+    (b"[F] F=F\n", [FieldSpec("str", min_len=4, max_len=8), FieldSpec("str"), _INT],
+     [], 0.45),
+    (b"<F>|F|F\n", [_INT, FieldSpec("str"), FieldSpec("int", 0, 999)], [], 0.35),
+    (b"{F} (F,)*F;\n", [FieldSpec("str"), FieldSpec("int", 0, 9999)],
+     [ArraySpec(1, 4)], 0.20),
+]
+SMALL_MIXES = [
+    [(b"".join(b">" * i + b"F\n" for i in range(1, 10)),
+      [_INT if i % 2 else FieldSpec("str") for i in range(9)], [], 0.5),
+     (b"\\(F\\)\n-F-\n", [FieldSpec("str"), _INT], [], 0.5)],
+    [(b"<F> F=F\n", [FieldSpec("str", min_len=6, max_len=10), FieldSpec("str"), _INT],
+      [], 1.0)],
+    [(b"--F--\n=F F\n", [_INT, FieldSpec("str"), _INT], [], 1.0)],
+    [(b"[F] F -> F\n", [FieldSpec("str", min_len=5, max_len=9), FieldSpec("str"),
+                        FieldSpec("str")], [], 1.0)],
+    [(b"F: F | F\n", [FieldSpec("str"), _INT, FieldSpec("str")], [], 1.0)],
+    [(b"{F}\n%F%F\n", [_INT, FieldSpec("str"), _INT], [], 1.0)],
+]
+
+
+class TestOracleGate:
+    """Every charset the greedy search visits yields exactly the reference
+    generation's candidates."""
+
+    gen_one = staticmethod(generation._gen_one)
+
+    def check(self, monkeypatch, data):
+        view = TextView.from_bytes(data)
+        ref_ctx = generation._GenContext(view)
+        charsets = []
+
+        def checked(ctx, charset, cfg):
+            got = self.gen_one(ctx, charset, cfg)
+            assert got.entries == gen_one_reference(ref_ctx, charset, cfg).entries
+            charsets.append(charset)
+            return got
+
+        monkeypatch.setattr(generation, "_gen_one", checked)
+        result = greedy_search(view)
+        assert len(charsets) == result.subsets_enumerated > 1
+        return result
+
+    def test_benchmark_record_mixes(self, monkeypatch):
+        rng = random.Random(17)
+        mixes = [BULK_MIX, SMALL_MIXES[0]] + rng.sample(SMALL_MIXES[1:], 2)
+        for mix in mixes:
+            res = generate(make_spec(mix, noise_fraction=rng.uniform(0.1, 0.25),
+                                     record_count=60, seed=rng.randrange(2**31)))
+            self.check(monkeypatch, res.data)
+
+    def test_missing_final_newline(self, monkeypatch):
+        res = generate(make_spec(SMALL_MIXES[2], noise_fraction=0.15,
+                                 record_count=40, seed=23))
+        assert res.data.endswith(b"\n")
+        self.check(monkeypatch, res.data[:-1])
+
+    def test_keys_per_window_cap(self, monkeypatch):
+        monkeypatch.setattr(generation, "MAX_KEYS_PER_WINDOW", 3)
+        res = generate(make_spec(BULK_MIX, noise_fraction=0.2, record_count=80,
+                                 seed=29))
+        self.check(monkeypatch, res.data)
+
+
+# Line templates whose reduced symbols make runs across line ends of every
+# kind: units holding newlines, runs that start mid-line, a field, an array
+# or the terminator itself after the unit, escaped literals, and array
+# symbols of 31, 33 and 35 canonical bytes around the MAX_UNIT_BYTES bound.
+L31 = b"[F:F] {F=F} <,[F:F] {F=F} <,[F:F] {F=F} <;"
+L33 = b"[F:F] {F=F} <>,[F:F] {F=F} <>,[F:F] {F=F} <>;"
+FOLD_LINES = [
+    b"F\n", b";\n", b",\n", b"F,\n", b"F;\n", b",F\n", b"F,F\n", b"F;F,\n",
+    b"(F)\n", b"F*\n", b"=F\n", b"a;F\n", b"F,F,F;\n", b"F,F,F;;\n", b"=F,F,F;\n",
+    b"-F-F-F\n", L31 + b"\n", L31 + b";\n", L33 + b"\n", L33 + b";\n",
+    b"[F:F] {F=F} <F>,[F:F] {F=F} <F>,[F:F] {F=F} <F>;\n",
+]
+
+
+def folds(pool, lines):
+    """Whether the span of ``lines`` folds, by the fold rule and by reducing
+    it, which must agree."""
+    syms = [pool.reduce_line(t) for t in lines]
+    joined = "".join(syms)
+    by_rule = generation._fold_ends(syms, pool)[0] <= len(syms) - 1
+    assert by_rule == (_reduce_seq(joined, pool) != joined), lines
+    return by_rule
+
+
+class TestFoldRule:
+    @pytest.mark.parametrize("lines, expected", [
+        # the unit "\nF" holds a newline, and ";" ends the run
+        ([b"F,\n", b"F,\n", b"F,\n", b"F;\n"], True),
+        # every candidate run ends in its own separator
+        ([b"F,\n"] * 4, False),
+        # the run "F\n" x 3 starts after "a;", mid-line
+        ([b"a;F\n", b"F\n", b"F;\n"], True),
+        # a field after ";" or after an array can only be a unit, not a
+        # separator or a terminator
+        ([b";F\n"] * 3 + [b";\n"], False),
+        ([b"=F,F,F;\n"] * 3 + [b"=\n"], False),
+        # an array as the unit, of 7, 31 and 33 canonical bytes
+        ([b"F,F,F;\n"] * 2 + [b"F,F,F;;\n"], True),
+        ([L31 + b"\n"] * 2 + [L31 + b";\n"], True),
+        ([L33 + b"\n"] * 2 + [L33 + b";\n"], False),
+    ])
+    def test_fold_rule_cases(self, lines, expected):
+        assert folds(_SymbolPool(), lines) == expected
+
+    def test_fold_rule_matches_reduction(self):
+        # on random lines, a span is reported to fold exactly when reducing
+        # its lines' symbols changes them
+        rng = random.Random(7)
+        pool = _SymbolPool()
+        sizes = {len(pool.canonical_of(pool.reduce_line(t))) for t in FOLD_LINES}
+        assert {32, 34, 36} <= sizes  # arrays of 31, 33 and 35 bytes, newline
+        outcomes = {True: 0, False: 0}
+        for _ in range(300):
+            shapes = rng.sample(FOLD_LINES, rng.randint(1, 3))
+            syms = [pool.reduce_line(rng.choice(shapes))
+                    for _ in range(rng.randint(3, 30))]
+            fold_end = generation._fold_ends(syms, pool)
+            for s in range(len(syms)):
+                for t in range(s, min(s + 10, len(syms))):
+                    joined = "".join(syms[s : t + 1])
+                    folded = _reduce_seq(joined, pool) != joined
+                    assert (fold_end[s] <= t) == folded, (s, t, joined)
+                    outcomes[folded] += 1
+        assert min(outcomes.values()) > 1000, outcomes
